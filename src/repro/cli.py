@@ -520,7 +520,8 @@ def _cmd_plan(args) -> int:
         for name, row in tracer.phase_timings().items():
             print(
                 f"    {name:34s} {row['calls']:5d} calls "
-                f"{row['total_s'] * 1000:10.2f} ms"
+                f"{row['total_s'] * 1000:10.2f} ms "
+                f"{row['self_s'] * 1000:10.2f} ms self"
             )
     return 0
 

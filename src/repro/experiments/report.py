@@ -397,10 +397,10 @@ def build_report(
         "## Phase timings",
         "",
         _md_table(
-            ["span", "calls", "total (s)", "mean (ms)"],
+            ["span", "calls", "total (s)", "self (s)", "mean (ms)"],
             [
                 [name, row["calls"], f"{row['total_s']:.3f}",
-                 f"{row['mean_s'] * 1000:.2f}"]
+                 f"{row['self_s']:.3f}", f"{row['mean_s'] * 1000:.2f}"]
                 for name, row in tracer.phase_timings().items()
             ],
         ),

@@ -13,6 +13,15 @@ march can avoid the *union* of the source and target FoIs' holes
 (robots leaving a hole-bearing M1 must dodge its obstacles just as they
 dodge M2's); the ``FieldOfInterest`` wrappers keep the convenient
 single-region interface.
+
+Every decision above rests on :func:`_segment_hole_hits`, the
+intersections of one segment with one hole boundary.  It runs as a
+single numpy pass over the hole's cached edge arrays
+(:func:`repro.geometry.segment.segment_intersection_points`), which
+repeats the scalar predicate's IEEE operations in the same order, so
+its hits are bitwise-equal to the per-edge loop kept as
+:func:`_segment_hole_hits_scalar` - the oracle that
+``tests/test_swarm_scale_vectorization.py`` checks it against.
 """
 
 from __future__ import annotations
@@ -24,7 +33,10 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.foi.region import FieldOfInterest
 from repro.geometry.polygon import Polygon
-from repro.geometry.segment import segment_intersection_point
+from repro.geometry.segment import (
+    segment_intersection_point,
+    segment_intersection_points,
+)
 from repro.geometry.vec import as_point, polyline_length
 
 __all__ = [
@@ -41,8 +53,27 @@ def _segment_hole_hits(p, q, hole: Polygon) -> list[tuple[float, np.ndarray, int
     """Intersections of segment ``[p, q]`` with the hole boundary.
 
     Returns a list of ``(t, point, edge_index)`` sorted by the segment
-    parameter ``t``.
+    parameter ``t``.  One vectorised pass over the hole's cached edges;
+    bitwise-equal to :func:`_segment_hole_hits_scalar`.
     """
+    p = as_point(p)
+    q = as_point(q)
+    seg = q - p
+    seg_len2 = float(seg @ seg)
+    if seg_len2 < 1e-24:
+        return []
+    ends, dirs = hole.edge_vectors
+    index, points = segment_intersection_points(p, q, hole.vertices, ends, dirs)
+    hits = [
+        (float((x - p) @ seg / seg_len2), x, int(i)) for i, x in zip(index, points)
+    ]
+    return _sort_and_merge(hits)
+
+
+def _segment_hole_hits_scalar(
+    p, q, hole: Polygon
+) -> list[tuple[float, np.ndarray, int]]:
+    """Per-edge reference for :func:`_segment_hole_hits` (the test oracle)."""
     p = as_point(p)
     q = as_point(q)
     hits: list[tuple[float, np.ndarray, int]] = []
@@ -57,6 +88,13 @@ def _segment_hole_hits(p, q, hole: Polygon) -> list[tuple[float, np.ndarray, int
         if x is not None:
             t = float((x - p) @ seg / seg_len2)
             hits.append((t, x, i))
+    return _sort_and_merge(hits)
+
+
+def _sort_and_merge(
+    hits: list[tuple[float, np.ndarray, int]],
+) -> list[tuple[float, np.ndarray, int]]:
+    """Sort hits by ``t`` (stably) and drop near-duplicates."""
     hits.sort(key=lambda h: h[0])
     # Merge hits that coincide (segment passing exactly through a vertex).
     merged: list[tuple[float, np.ndarray, int]] = []

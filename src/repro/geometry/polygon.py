@@ -137,6 +137,21 @@ class Polygon:
         v = self._vertices
         return np.stack([v, np.roll(v, -1, axis=0)], axis=1)
 
+    @cached_property
+    def edge_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(ends, dirs)``, both ``(n, 2)``.
+
+        Edge ``i`` runs from ``vertices[i]`` to ``ends[i]`` along
+        ``dirs[i] = ends[i] - vertices[i]``; cached for the batched
+        :func:`~repro.geometry.segment.segment_intersection_points`.
+        """
+        v = self._vertices
+        ends = np.roll(v, -1, axis=0)
+        dirs = ends - v
+        ends.setflags(write=False)
+        dirs.setflags(write=False)
+        return ends, dirs
+
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------

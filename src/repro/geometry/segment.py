@@ -19,6 +19,7 @@ __all__ = [
     "on_segment",
     "segments_intersect",
     "segment_intersection_point",
+    "segment_intersection_points",
     "project_point_on_segment",
     "point_segment_distance",
     "points_segments_distance",
@@ -120,6 +121,68 @@ def segment_intersection_point(a1, a2, b1, b2) -> Optional[np.ndarray]:
         if on_segment(p, b1, b2):
             return np.asarray(p, dtype=float)
     return None
+
+
+def segment_intersection_points(
+    a1, a2, starts, ends, dirs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Intersections of segment ``[a1, a2]`` with many segments, vectorised.
+
+    Row ``j`` is bitwise-equal to ``segment_intersection_point(a1, a2,
+    starts[j], ends[j])``: the non-parallel rows repeat its IEEE
+    operations in the same order on whole arrays, and the (rare)
+    parallel rows call it directly for the collinear-overlap branch.
+
+    Parameters
+    ----------
+    a1, a2 : (2,) array-like
+    starts, ends : (k, 2) array-like
+        Segment endpoints.
+    dirs : (k, 2) array-like
+        ``ends - starts``, passed in so callers can cache it (see
+        :attr:`repro.geometry.polygon.Polygon.edge_vectors`).
+
+    Returns
+    -------
+    index : (m,) int ndarray
+        Increasing indices of the segments that meet ``[a1, a2]``.
+    points : (m, 2) ndarray
+        The intersection point with each of them.
+    """
+    a1 = as_point(a1)
+    a2 = as_point(a2)
+    b1 = np.asarray(starts, dtype=float).reshape(-1, 2)
+    b2 = np.asarray(ends, dtype=float).reshape(-1, 2)
+    d2 = np.asarray(dirs, dtype=float).reshape(-1, 2)
+    d1 = a2 - a1
+    denom = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
+    l1 = float(np.abs(d1).sum())
+    tol = _EPS * np.maximum(1.0, l1 * (np.abs(d2[:, 0]) + np.abs(d2[:, 1])))
+    proper = np.abs(denom) > tol
+    safe = np.where(proper, denom, 1.0)
+    w = b1 - a1
+    t = (w[:, 0] * d2[:, 1] - w[:, 1] * d2[:, 0]) / safe
+    u = (w[:, 0] * d1[1] - w[:, 1] * d1[0]) / safe
+    hit = (
+        proper
+        & (t >= -1e-12) & (t <= 1.0 + 1e-12)
+        & (u >= -1e-12) & (u <= 1.0 + 1e-12)
+    )
+    index = np.flatnonzero(hit)
+    points = a1 + np.clip(t[index], 0.0, 1.0)[:, None] * d1
+    parallel = np.flatnonzero(~proper)
+    if len(parallel):
+        extra = [
+            (j, x)
+            for j in parallel
+            if (x := segment_intersection_point(a1, a2, b1[j], b2[j])) is not None
+        ]
+        if extra:
+            index = np.concatenate([index, [j for j, _ in extra]])
+            points = np.vstack([points] + [x for _, x in extra])
+            order = np.argsort(index, kind="stable")
+            index, points = index[order], points[order]
+    return index, points
 
 
 def project_point_on_segment(p, a, b) -> np.ndarray:

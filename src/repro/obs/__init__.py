@@ -42,6 +42,7 @@ from repro.obs.tracer import (
     SpanRecord,
     Tracer,
     activate,
+    current_span,
     get_tracer,
     set_tracer,
     span,
@@ -66,4 +67,5 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "span",
+    "current_span",
 ]

@@ -42,6 +42,7 @@ __all__ = [
     "set_tracer",
     "activate",
     "span",
+    "current_span",
 ]
 
 
@@ -155,6 +156,9 @@ class NullTracer:
 
     def span_names(self) -> list[str]:
         return []
+
+    def current(self) -> _NullSpan:
+        return _NULL_SPAN
 
     def absorb_records(
         self, records: list[dict], task_index: int | None = None
@@ -281,6 +285,11 @@ class Tracer:
             for record in absorbed:
                 self.sink.emit(record.to_dict())
 
+    def current(self) -> Span | _NullSpan:
+        """Handle to the innermost open span of this context (no-op if none)."""
+        stack = self._stack.get()
+        return Span(stack[-1]) if stack else _NULL_SPAN
+
     def get_trace(self) -> list[SpanRecord]:
         """All recorded spans, in start order."""
         with self._lock:
@@ -299,23 +308,41 @@ class Tracer:
     def phase_timings(self) -> dict[str, dict[str, float]]:
         """Aggregate finished spans by name.
 
+        ``self_s`` is exclusive time: each span's duration minus the
+        durations of its direct children (linked by ``parent_id``), so
+        nested spans are not counted twice.  Children that ran
+        concurrently can outlast their parent; a span's self time
+        floors at zero.
+
         Returns
         -------
         dict
-            ``{name: {"calls": int, "total_s": float, "mean_s": float}}``
-            sorted by descending total time.
+            ``{name: {"calls": int, "total_s": float, "mean_s": float,
+            "self_s": float}}`` sorted by descending total time.
         """
         with self._lock:
             items = [
                 (name, self._counts[name], self._totals.get(name, 0.0))
                 for name in self._counts
             ]
+            finished = [r for r in self._records if r.duration_s is not None]
+        children_s: dict[int, float] = {}
+        for r in finished:
+            if r.parent_id is not None:
+                children_s[r.parent_id] = (
+                    children_s.get(r.parent_id, 0.0) + r.duration_s
+                )
+        self_s: dict[str, float] = {}
+        for r in finished:
+            exclusive = max(0.0, r.duration_s - children_s.get(r.span_id, 0.0))
+            self_s[r.name] = self_s.get(r.name, 0.0) + exclusive
         items.sort(key=lambda kv: -kv[2])
         return {
             name: {
                 "calls": calls,
                 "total_s": total,
                 "mean_s": total / calls if calls else 0.0,
+                "self_s": self_s.get(name, 0.0),
             }
             for name, calls, total in items
         }
@@ -354,3 +381,8 @@ def activate(tracer: Tracer | NullTracer | None) -> Iterator[Tracer | NullTracer
 def span(name: str, **attrs: Any):
     """Open a span on the ambient tracer (no-op when tracing is off)."""
     return _ACTIVE.get().span(name, **attrs)
+
+
+def current_span() -> Span | _NullSpan:
+    """The ambient tracer's innermost open span, for attaching attributes."""
+    return _ACTIVE.get().current()

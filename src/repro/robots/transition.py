@@ -15,6 +15,7 @@ from repro.errors import PlanningError
 from repro.foi.detour import detour_path_holes, path_blocked_by_holes
 from repro.foi.region import FieldOfInterest
 from repro.geometry.vec import as_points
+from repro.obs import current_span, get_metrics
 from repro.robots.motion import SwarmTrajectory, TimedPath
 
 __all__ = [
@@ -53,7 +54,11 @@ def detoured_transition(
 
     Robots whose straight path crosses a hole of the target FoI - or of
     the source FoI they are leaving, when given - follow the hole
-    boundary per the paper's rule.
+    boundary per the paper's rule.  When there are holes, the number
+    of straight paths checked and of robots that detoured are added to
+    the ambient ``march.path_checks`` / ``march.detours`` counters and
+    set as ``path_checks`` / ``detours`` on the innermost open span
+    (``plan.march`` under the planner).
 
     Parameters
     ----------
@@ -79,12 +84,18 @@ def detoured_transition(
         return straight_transition(p, q, t_start, t_end)
     margin = 1e-3 * max(1.0, float(np.sqrt(max(areas))))
     paths = []
+    detours = 0
     for a, b in zip(p, q):
         if path_blocked_by_holes(holes, a, b) is None:
             waypoints = np.vstack([a, b])
         else:
             waypoints = detour_path_holes(holes, a, b, margin=margin)
+            detours += 1
         paths.append(TimedPath.constant_speed(waypoints, t_start, t_end))
+    metrics = get_metrics()
+    metrics.counter("march.path_checks").inc(len(p))
+    metrics.counter("march.detours").inc(detours)
+    current_span().set_attributes(path_checks=len(p), detours=detours)
     return SwarmTrajectory(paths, t_start, t_end)
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import threading
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.obs import (
     Tracer,
     activate,
     activate_metrics,
+    current_span,
     get_metrics,
     get_tracer,
     read_jsonl,
@@ -66,6 +68,46 @@ class TestTracerSpans:
         assert timings["repeated"]["mean_s"] == pytest.approx(
             timings["repeated"]["total_s"] / 3
         )
+
+    def test_self_time_excludes_direct_children(self):
+        tracer = Tracer()
+        with tracer.span("outer"):
+            time.sleep(0.01)
+            with tracer.span("inner"):
+                time.sleep(0.02)
+                with tracer.span("leaf"):
+                    time.sleep(0.01)
+            with tracer.span("inner"):
+                pass
+        by_name = {}
+        for r in tracer.get_trace():
+            by_name.setdefault(r.name, []).append(r.duration_s)
+        timings = tracer.phase_timings()
+        outer, inner, leaf = (timings[n] for n in ("outer", "inner", "leaf"))
+        assert outer["self_s"] == pytest.approx(
+            by_name["outer"][0] - sum(by_name["inner"])
+        )
+        assert inner["self_s"] == pytest.approx(
+            sum(by_name["inner"]) - by_name["leaf"][0]
+        )
+        assert leaf["self_s"] == leaf["total_s"]
+        # Self times partition the root span: nothing is counted twice.
+        assert outer["self_s"] + inner["self_s"] + leaf["self_s"] == pytest.approx(
+            outer["total_s"]
+        )
+        assert outer["self_s"] >= 0.009 and inner["self_s"] >= 0.019
+
+    def test_current_span_receives_attributes(self):
+        current_span().set("ignored", 1)  # no active tracer: a no-op
+        tracer = Tracer()
+        with activate(tracer):
+            with span("outer"):
+                with span("inner"):
+                    current_span().set_attributes(hits=3)
+                current_span().set("done", True)
+        outer, inner = tracer.get_trace()
+        assert inner.attributes == {"hits": 3}
+        assert outer.attributes == {"done": True}
 
     def test_duration_recorded_when_body_raises(self):
         tracer = Tracer()

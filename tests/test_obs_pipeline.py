@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.robots.transition as transition
 from repro.cli import main
 from repro.coverage import LloydConfig
 from repro.foi import FieldOfInterest, ellipse_polygon
+from repro.io import dumps_canonical, result_to_dict
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.obs import Metrics, Tracer, activate, activate_metrics, read_jsonl
 from repro.robots import RadioSpec, Swarm
@@ -83,6 +85,56 @@ class TestPlannerSpans:
         tracer = Tracer()
         MarchingPlanner(FAST).plan(swarm, m2)  # tracer never activated
         assert tracer.get_trace() == []
+
+
+@pytest.fixture(scope="module")
+def holed_setup(small_setup):
+    swarm, _ = small_setup
+    m2 = FieldOfInterest(
+        ellipse_polygon(1.1, 0.9, samples=32),
+        [ellipse_polygon(0.35, 0.3, samples=24)],
+        name="m2-holed",
+    ).scaled_to_area(95_000.0).translated((900.0, 100.0))
+    return swarm, m2
+
+
+class TestMarchDetourCounters:
+    def test_counts_on_span_and_registry(self, holed_setup, monkeypatch):
+        swarm, m2 = holed_setup
+        calls = []
+        detour_path_holes = transition.detour_path_holes
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return detour_path_holes(*args, **kwargs)
+
+        monkeypatch.setattr(transition, "detour_path_holes", counted)
+        tracer, metrics = Tracer(), Metrics()
+        with activate(tracer), activate_metrics(metrics):
+            MarchingPlanner(FAST).plan(swarm, m2)
+        (march,) = [r for r in tracer.get_trace() if r.name == "plan.march"]
+        assert march.attributes["path_checks"] == swarm.size
+        assert march.attributes["detours"] == len(calls) > 0
+        assert metrics.counter("march.path_checks").value == swarm.size
+        assert metrics.counter("march.detours").value == len(calls)
+
+    def test_counting_leaves_plan_document_unchanged(self, holed_setup):
+        swarm, m2 = holed_setup
+        plain = MarchingPlanner(FAST).plan(swarm, m2)
+        with activate(Tracer()), activate_metrics(Metrics()):
+            traced = MarchingPlanner(FAST).plan(swarm, m2)
+        assert dumps_canonical(result_to_dict(traced)) == dumps_canonical(
+            result_to_dict(plain)
+        )
+
+    def test_hole_free_march_counts_nothing(self, small_setup):
+        swarm, m2 = small_setup
+        tracer, metrics = Tracer(), Metrics()
+        with activate(tracer), activate_metrics(metrics):
+            MarchingPlanner(FAST).plan(swarm, m2)
+        (march,) = [r for r in tracer.get_trace() if r.name == "plan.march"]
+        assert "detours" not in march.attributes
+        assert "march.detours" not in metrics.snapshot()
 
 
 class TestCliTrace:

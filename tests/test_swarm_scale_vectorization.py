@@ -2,25 +2,37 @@
 
 Every vectorised fast path introduced for large swarms - the
 spatial-hash unit-disk graph, CSR adjacency, factorization-reusing
-harmonic solves, batch point location, batch induced-map transfer and
-vectorised trajectory sampling - must produce *bitwise-identical*
+harmonic solves, batch point location, batch induced-map transfer,
+vectorised trajectory sampling and the batched hole-detour
+intersection kernel - must produce *bitwise-identical*
 results to the scalar/brute-force oracles it replaced; these tests pin
 that contract.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.foi.detour as detour
+import repro.robots.transition as transition
+from repro.coverage import LloydConfig
 from repro.errors import PlanningError
+from repro.experiments.scenarios import get_scenario
 from repro.experiments.scaling import (
     format_scaling_table,
     scaling_curve,
     stage_lookup,
     synthetic_swarm_positions,
 )
-from repro.geometry import TriangleLocator, barycentric_coords_paired
+from repro.foi import ellipse_polygon, m2_scenario3, m2_scenario5
+from repro.geometry import Polygon, TriangleLocator, barycentric_coords_paired
 from repro.geometry.barycentric import barycentric_coords_many
+from repro.geometry.segment import (
+    segment_intersection_point,
+    segment_intersection_points,
+)
 from repro.harmonic import (
     clear_factorization_cache,
     compute_disk_map,
@@ -28,10 +40,12 @@ from repro.harmonic import (
 )
 from repro.harmonic.boundary import boundary_parameterization, circle_positions
 from repro.harmonic.transfer import InducedMap
+from repro.marching import MarchingConfig, MarchingPlanner
 from repro.mesh.delaunay import delaunay_mesh
 from repro.network import UnitDiskGraph, udg_edges
 from repro.network.udg import _udg_edges_bruteforce
 from repro.obs import Metrics, activate_metrics
+from repro.robots import RadioSpec, Swarm
 from repro.robots.motion import SwarmTrajectory, TimedPath
 
 positions_strategy = st.lists(
@@ -374,3 +388,191 @@ class TestScalingCurve:
         assert "## Scaling curves" in text
         assert "| network.udg_edges |" in text
         assert "n=80" in text
+
+
+# ----------------------------------------------------------------------
+# Hole-detour intersection kernel: vectorised vs per-edge oracle.
+
+_BASE_HOLES = {
+    "flower": m2_scenario3().holes[0],
+    "scenario5": m2_scenario5().holes[0],
+    "ellipse": ellipse_polygon(1.3, 0.7, samples=40, center=(0.4, -0.2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _hole(name: str, exponent: int) -> Polygon:
+    """Base hole normalised to ~[0.5, 4.5]^2, then scaled by 10**exponent."""
+    v = _BASE_HOLES[name].vertices
+    lo = v.min(axis=0)
+    unit = (v - lo) / float((v.max(axis=0) - lo).max()) * 4.0 + 0.5
+    return Polygon(unit * 10.0**exponent)
+
+
+def _hits_key(hits):
+    """Bitwise fingerprint of a hit list (``t`` via ``float.hex``)."""
+    return [(float(t).hex(), x.tobytes(), i) for t, x, i in hits]
+
+
+QUERY_KINDS = (
+    "free", "vertex", "collinear", "parallel", "zero", "endpoint", "tangent",
+)
+
+
+@st.composite
+def hole_queries(draw):
+    """``(hole, p, q)`` aimed at the kernel's edge cases."""
+    hole = _hole(
+        draw(st.sampled_from(sorted(_BASE_HOLES))), draw(st.integers(-6, 6))
+    )
+    v = hole.vertices
+    scale = float(np.ptp(v, axis=0).max())
+    i = draw(st.integers(0, len(v) - 1))
+    a, b = v[i], v[(i + 1) % len(v)]
+    edge = b - a
+    frac = st.floats(-1.0, 2.0, allow_nan=False)
+    kind = draw(st.sampled_from(QUERY_KINDS))
+    if kind == "free":
+        coord = st.floats(-0.5, 1.5, allow_nan=False)
+        lo = v.min(axis=0)
+        p = lo + scale * np.array([draw(coord), draw(coord)])
+        q = lo + scale * np.array([draw(coord), draw(coord)])
+    elif kind == "vertex":
+        # Straight through vertex i: both adjacent edges report a hit
+        # at (nearly) the same t, which the 1e-9 merge folds together.
+        ang = draw(st.floats(0.0, 2.0 * np.pi, allow_nan=False))
+        d = scale * np.array([np.cos(ang), np.sin(ang)])
+        p = a - draw(st.floats(0.01, 2.0)) * d
+        q = a + draw(st.floats(0.01, 2.0)) * d
+    elif kind == "collinear":
+        p = a + draw(frac) * edge
+        q = a + draw(frac) * edge
+    elif kind == "parallel":
+        normal = np.array([-edge[1], edge[0]]) / np.hypot(*edge)
+        off = draw(st.sampled_from([-1.0, 1.0])) * 1e-13 * scale * normal
+        p = a + draw(frac) * edge + off
+        q = a + draw(frac) * edge + off
+    elif kind == "zero":
+        p = a + draw(frac) * edge
+        q = p + draw(st.floats(-1e-13, 1e-13, allow_nan=False)) * np.ones(2)
+    elif kind == "endpoint":
+        p = a + draw(st.floats(0.0, 1.0)) * edge
+        q = v[draw(st.integers(0, len(v) - 1))] + scale * np.array(
+            [draw(frac), draw(frac)]
+        )
+    else:  # tangent: a line grazing vertex i, offset by a hair
+        radial = a - hole.centroid
+        radial = radial / np.hypot(*radial)
+        tangent = np.array([-radial[1], radial[0]])
+        base = a + draw(st.floats(-1e-9, 1e-9, allow_nan=False)) * scale * radial
+        p = base - draw(st.floats(0.01, 1.0)) * scale * tangent
+        q = base + draw(st.floats(0.01, 1.0)) * scale * tangent
+    return hole, p, q
+
+
+class TestHoleDetourKernel:
+    @given(query=hole_queries())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scalar_oracle(self, query):
+        hole, p, q = query
+        fast = detour._segment_hole_hits(p, q, hole)
+        slow = detour._segment_hole_hits_scalar(p, q, hole)
+        assert _hits_key(fast) == _hits_key(slow)
+
+    @given(query=hole_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_primitive_matches_per_row(self, query):
+        hole, p, q = query
+        ends, dirs = hole.edge_vectors
+        index, points = segment_intersection_points(p, q, hole.vertices, ends, dirs)
+        expected = [
+            (j, x)
+            for j in range(len(hole))
+            if (x := segment_intersection_point(p, q, hole.vertices[j], ends[j]))
+            is not None
+        ]
+        assert index.tolist() == [j for j, _ in expected]
+        assert [x.tobytes() for x in points] == [x.tobytes() for _, x in expected]
+
+    def test_vertex_crossings_are_merged(self):
+        square = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        p, q = (-1.0, -1.0), (2.0, 2.0)  # diagonal through two corners
+        hits = detour._segment_hole_hits(p, q, square)
+        assert [t for t, _, _ in hits] == [1 / 3, 2 / 3]
+        assert _hits_key(hits) == _hits_key(
+            detour._segment_hole_hits_scalar(p, q, square)
+        )
+
+    def test_collinear_overlap_uses_parallel_branch(self):
+        square = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        p, q = (-0.5, 0.0), (1.5, 0.0)  # runs along the bottom edge
+        hits = detour._segment_hole_hits(p, q, square)
+        assert hits
+        assert _hits_key(hits) == _hits_key(
+            detour._segment_hole_hits_scalar(p, q, square)
+        )
+
+    def test_zero_length_segment_has_no_hits(self):
+        hole = _hole("flower", 0)
+        p = hole.vertices[3]
+        assert detour._segment_hole_hits(p, p, hole) == []
+        assert detour._segment_hole_hits_scalar(p, p, hole) == []
+
+
+class TestHoleDetourPipelineQueries:
+    """Both kernels agree on the queries a real plan makes."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        queries: list = []
+        detours: list = []
+        hits = detour._segment_hole_hits
+        detour_path_holes = transition.detour_path_holes
+
+        def record_hits(p, q, hole):
+            queries.append((np.array(p, dtype=float), np.array(q, dtype=float), hole))
+            return hits(p, q, hole)
+
+        def record_detour(holes, a, b, margin):
+            waypoints = detour_path_holes(holes, a, b, margin=margin)
+            detours.append((holes, a, b, margin, waypoints))
+            return waypoints
+
+        # The configuration run_scenario uses for the paper scenarios.
+        cfg = MarchingConfig(foi_target_points=500, lloyd=LloydConfig(grid_target=2000))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detour, "_segment_hole_hits", record_hits)
+            mp.setattr(transition, "detour_path_holes", record_detour)
+            for scenario_id in (3, 6):
+                spec = get_scenario(scenario_id)
+                m1, m2 = spec.build(20.0)
+                radio = RadioSpec.from_comm_range(spec.comm_range)
+                swarm = Swarm.deploy_lattice(m1, spec.robot_count, radio)
+                MarchingPlanner(cfg).plan(swarm, m2, source_foi=m1)
+        return queries, detours
+
+    def test_sampled_queries_bitwise_equal(self, recorded):
+        queries, _ = recorded
+        assert len(queries) >= 1000
+        rng = np.random.default_rng(20160627)
+        sample = rng.choice(len(queries), size=1000, replace=False)
+        crossing = 0
+        for k in sample:
+            p, q, hole = queries[k]
+            fast = detour._segment_hole_hits(p, q, hole)
+            assert _hits_key(fast) == _hits_key(
+                detour._segment_hole_hits_scalar(p, q, hole)
+            )
+            crossing += len(fast) >= 2
+        assert crossing > 0  # the sample exercises real hole crossings
+
+    def test_detour_waypoints_identical_with_oracle(self, recorded, monkeypatch):
+        _, detours = recorded
+        assert detours, "scenarios 3 and 6 must detour some robots"
+        monkeypatch.setattr(
+            detour, "_segment_hole_hits", detour._segment_hole_hits_scalar
+        )
+        for holes, a, b, margin, waypoints in detours:
+            oracle = detour.detour_path_holes(holes, a, b, margin=margin)
+            assert oracle.shape == waypoints.shape
+            assert oracle.tobytes() == waypoints.tobytes()
