@@ -5,7 +5,10 @@ to explore a number of FoIs.  After they complete a task at current
 FoI, they move to the next one."  This example chains three transitions
 - including one into a FoI with a concave flower-pond hole - and shows
 that the swarm stays globally connected through the entire mission
-while preserving most links on every leg.
+while preserving most links on every leg.  Each leg is one
+``MarchingPlanner.plan`` call; the swarm redeploys on the leg's final
+positions and the target becomes the next leg's source FoI (its holes
+shape that leg's detours).
 
 Run:  python examples/multi_foi_mission.py
 """
@@ -16,7 +19,8 @@ import numpy as np
 
 from repro import MarchingConfig, RadioSpec, Swarm
 from repro.foi import m1_base, m2_scenario1, m2_scenario3, m2_scenario2
-from repro.marching import MissionPlanner
+from repro.marching import MarchingPlanner
+from repro.metrics import connectivity_report, stable_link_ratio
 
 
 def main() -> None:
@@ -36,20 +40,29 @@ def main() -> None:
     ]
 
     print(f"Mission start: {swarm.size} robots on {start_foi.name}\n")
-    mission = MissionPlanner(MarchingConfig(method="a"))
-    report = mission.run(swarm, targets, source_foi=start_foi)
-
-    for leg in report.legs:
-        print(f"Leg {leg.index}: -> {leg.target_name}")
-        print(f"  D = {leg.total_distance / 1000:8.1f} km   "
-              f"L = {leg.stable_link_ratio:.3f}   "
-              f"C = {'Y' if leg.globally_connected else 'N'}   "
-              f"escorts = {leg.escort_count}")
+    planner = MarchingPlanner(MarchingConfig(method="a"))
+    source = start_foi
+    total_distance = 0.0
+    all_connected = True
+    for index, target in enumerate(targets, start=1):
+        result = planner.plan(swarm, target, source_foi=source)
+        report = connectivity_report(
+            result.trajectory, radio.comm_range, result.boundary_anchors
+        )
+        total_distance += result.total_distance
+        all_connected = all_connected and report.connected
+        print(f"Leg {index}: -> {target.name}")
+        print(f"  D = {result.total_distance / 1000:8.1f} km   "
+              f"L = {stable_link_ratio(result.links, result.trajectory):.3f}   "
+              f"C = {'Y' if report.connected else 'N'}   "
+              f"escorts = {result.repair.escort_count}")
+        swarm = swarm.with_positions(result.final_positions)
+        source = target
 
     print(f"\nMission complete. Fleet-wide distance: "
-          f"{report.total_distance / 1000:.1f} km; every leg connected: "
-          f"{report.all_connected}; swarm still connected: "
-          f"{report.final_swarm.is_connected()}")
+          f"{total_distance / 1000:.1f} km; every leg connected: "
+          f"{all_connected}; swarm still connected: "
+          f"{swarm.is_connected()}")
 
 
 if __name__ == "__main__":

@@ -526,59 +526,71 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+def _emit(text: str, payload: bytes, output: str | None, passed: bool) -> int:
+    """Print a campaign's rendered text, write its bytes to ``--output``.
+
+    Returns the exit code: 0 when the campaign ``passed``, else 1.
+    """
+    print(text)
+    if output:
+        from pathlib import Path
+
+        out = Path(output)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_bytes(payload)
+        print(f"wrote {out}")
+    return 0 if passed else 1
+
+
 def _cmd_chaos(args) -> int:
+    from repro.errors import PlanningError
     from repro.experiments.chaos import (
         DEFAULT_ARCHETYPES,
         DEFAULT_SCENARIOS,
         ChaosConfig,
         chaos_sweep,
         render_chaos,
-        summary_bytes,
     )
-    from repro.faults import ARCHETYPES
+    from repro.io import dumps_canonical
 
-    archetypes = tuple(args.archetypes or DEFAULT_ARCHETYPES)
-    unknown = [a for a in archetypes if a not in ARCHETYPES]
-    if unknown:
-        print(f"error: unknown archetypes {unknown}; valid: "
-              f"{list(ARCHETYPES)}", file=sys.stderr)
-        return 2
     config = ChaosConfig(
         robot_count=args.robots, separation_factor=args.separation
     )
-    summary = chaos_sweep(
-        scenario_ids=tuple(args.scenarios or DEFAULT_SCENARIOS),
-        archetypes=archetypes,
-        seeds=tuple(args.seeds),
-        config=config,
-        workers=args.workers,
-    )
-    print(render_chaos(summary))
-    if args.output:
-        from pathlib import Path
-
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(summary_bytes(summary))
-        print(f"wrote {out}")
+    try:
+        summary = chaos_sweep(
+            scenario_ids=tuple(args.scenarios or DEFAULT_SCENARIOS),
+            archetypes=tuple(args.archetypes or DEFAULT_ARCHETYPES),
+            seeds=tuple(args.seeds),
+            config=config,
+            workers=args.workers,
+        )
+    except PlanningError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # Binary-outcome guarantee: a case that is neither recovered nor a
     # typed unrecoverable never reaches this point (it would have
     # raised); exit non-zero only if a recovered case broke C=1.
-    return 0 if summary["summary"]["connected_all"] else 1
+    return _emit(
+        render_chaos(summary),
+        dumps_canonical(summary),
+        args.output,
+        summary["summary"]["connected_all"],
+    )
 
 
 def _cmd_zoo(args) -> int:
     import json as json_module
     from pathlib import Path
 
+    from repro.errors import ScenarioError
     from repro.experiments.zoo import (
         FAMILIES,
         ZooConfig,
         render_zoo,
         replay_counterexample,
-        summary_bytes,
         zoo_campaign,
     )
+    from repro.io import dumps_canonical
 
     config = ZooConfig(
         robot_count=args.robots,
@@ -609,24 +621,23 @@ def _cmd_zoo(args) -> int:
         return 0 if all_reproduced else 1
 
     families = tuple(FAMILIES) if "all" in args.families else tuple(args.families)
-    unknown = [f for f in families if f not in FAMILIES]
-    if unknown:
-        print(f"error: unknown families {unknown}; valid: {list(FAMILIES)}",
-              file=sys.stderr)
-        return 2
     seeds = tuple(args.seed_list) if args.seed_list else tuple(range(args.seeds))
-    summary = zoo_campaign(
-        families=families,
-        seeds=seeds,
-        config=config,
-        workers=args.workers,
+    try:
+        summary = zoo_campaign(
+            families=families,
+            seeds=seeds,
+            config=config,
+            workers=args.workers,
+        )
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    code = _emit(
+        render_zoo(summary),
+        dumps_canonical(summary),
+        args.output,
+        summary["summary"]["all_pass"],
     )
-    print(render_zoo(summary))
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(summary_bytes(summary))
-        print(f"wrote {out}")
     if summary["counterexamples"] and args.counterexamples:
         ce = Path(args.counterexamples)
         ce.parent.mkdir(parents=True, exist_ok=True)
@@ -636,7 +647,7 @@ def _cmd_zoo(args) -> int:
         )
         print(f"wrote {len(summary['counterexamples'])} counterexample(s) "
               f"to {ce}")
-    return 0 if summary["summary"]["all_pass"] else 1
+    return code
 
 
 def _cmd_mission(args) -> int:
@@ -646,9 +657,9 @@ def _cmd_mission(args) -> int:
         mission_campaign,
         missions_passed,
         render_missions,
-        summary_bytes,
     )
     from repro.experiments.zoo import FAMILIES
+    from repro.io import dumps_canonical
     from repro.missions import MOTIONS, MissionConfig
 
     if args.families and "all" in args.families:
@@ -676,15 +687,12 @@ def _cmd_mission(args) -> int:
     except MissionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_missions(summary))
-    if args.output:
-        from pathlib import Path
-
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(summary_bytes(summary))
-        print(f"wrote {out}")
-    return 0 if missions_passed(summary) else 1
+    return _emit(
+        render_missions(summary),
+        dumps_canonical(summary),
+        args.output,
+        missions_passed(summary),
+    )
 
 
 def _cmd_serve(args) -> int:
@@ -777,15 +785,12 @@ def _cmd_loadgen(args) -> int:
             service_workers=max(1, args.service_workers),
             journal=not args.no_journal,
         )
-    print(render_loadgen(summary))
-    if args.output:
-        from pathlib import Path
-
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(summary_bytes(summary))
-        print(f"wrote {out}")
-    return 0 if loadgen_passed(summary) else 1
+    return _emit(
+        render_loadgen(summary),
+        summary_bytes(summary),
+        args.output,
+        loadgen_passed(summary),
+    )
 
 
 def _cmd_submit(args) -> int:

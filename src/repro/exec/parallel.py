@@ -344,5 +344,18 @@ def parallel_map(
     workers: int | None = None,
     **kwargs: Any,
 ) -> list[Any]:
-    """One-shot convenience wrapper around :class:`ParallelMap`."""
+    """The one fan-out: inline for one worker, else a :class:`ParallelMap`.
+
+    With a resolved worker count of 1, or at most one item, this is
+    exactly ``[fn(x) for x in items]`` - no per-task seeding, no private
+    tracer/metrics and no ``exec.map`` span - so a serial campaign runs
+    with zero engine overhead.  Otherwise the items fan out over a
+    ``backend`` pool (default ``process``).  Callers bind fixed
+    arguments with :func:`functools.partial` over a module-level
+    function so the task pickles.
+    """
+    items = list(items)
+    workers = resolve_workers(workers)
+    if workers == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     return ParallelMap(backend=backend, workers=workers, **kwargs).map(fn, items)

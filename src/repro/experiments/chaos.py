@@ -1,10 +1,10 @@
 """Seeded chaos sweep: fault archetypes x scenarios x seeds.
 
-``python -m repro chaos`` (and the CI chaos-smoke job) runs the
+``python -m repro chaos`` (and ``scripts/smoke.py chaos``) runs the
 resilient executor of :mod:`repro.faults` over a matrix of scenario
 shapes and fault archetypes.  Every case is fully determined by its
 ``(scenario, archetype, seed)`` triple - the summary document is
-byte-identical across runs and worker counts, which the smoke script
+byte-identical across runs and worker counts, which the smoke check
 asserts by comparing :func:`repro.io.dumps_canonical` bytes.
 
 The sweep reuses the paper's scenario FoI shapes at a reduced robot
@@ -16,15 +16,15 @@ full-scale runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Sequence
 
 from repro.coverage import LloydConfig
-from repro.errors import UnrecoverableError
-from repro.exec import ParallelMap, resolve_workers
+from repro.errors import PlanningError, UnrecoverableError
+from repro.exec import parallel_map, resolve_workers
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.tables import format_table
-from repro.faults import build_archetype_schedule, execute_with_faults
-from repro.io import dumps_canonical
+from repro.faults import ARCHETYPES, build_archetype_schedule, execute_with_faults
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.marching.result import MarchingResult
 from repro.obs import span
@@ -38,7 +38,6 @@ __all__ = [
     "chaos_sweep",
     "render_chaos",
     "run_chaos_case",
-    "summary_bytes",
 ]
 
 DEFAULT_SCENARIOS = (1, 2, 4)
@@ -162,27 +161,31 @@ def run_chaos_case(
     return doc
 
 
-def _chaos_task(task) -> dict[str, Any]:
-    """Module-level (picklable) worker task for :class:`ParallelMap`."""
-    case, config = task
-    return run_chaos_case(case, config)
-
-
 def chaos_sweep(
     scenario_ids: Sequence[int] = DEFAULT_SCENARIOS,
     archetypes: Sequence[str] = DEFAULT_ARCHETYPES,
     seeds: Sequence[int] = (0,),
     config: ChaosConfig | None = None,
     workers: int | None = None,
-    backend: str = "process",
 ) -> dict[str, Any]:
     """Run the full fault matrix and aggregate a summary document.
 
     Returns a plain-JSON dict with one entry per case (in deterministic
     matrix order) plus aggregate counts.  Identical for any ``workers``
-    count; serialize with :func:`summary_bytes` to compare runs.
+    count; serialize with :func:`repro.io.dumps_canonical` to compare
+    runs.
+
+    Raises
+    ------
+    PlanningError
+        On an unknown archetype, before any case is planned.
     """
     config = config or ChaosConfig()
+    unknown = [a for a in archetypes if a not in ARCHETYPES]
+    if unknown:
+        raise PlanningError(
+            f"unknown archetypes {unknown}; valid: {list(ARCHETYPES)}"
+        )
     cases = [
         ChaosCase(scenario_id=sid, archetype=arch, seed=seed)
         for sid in scenario_ids
@@ -191,11 +194,9 @@ def chaos_sweep(
     ]
     workers = resolve_workers(workers)
     with span("chaos.sweep", cases=len(cases), workers=workers):
-        if workers > 1 and len(cases) > 1:
-            engine = ParallelMap(backend=backend, workers=workers)
-            docs = engine.map(_chaos_task, [(c, config) for c in cases])
-        else:
-            docs = [run_chaos_case(c, config) for c in cases]
+        docs = parallel_map(
+            partial(run_chaos_case, config=config), cases, workers=workers
+        )
 
     recovered = [d for d in docs if d["outcome"] == "recovered"]
     unrecoverable = [d for d in docs if d["outcome"] == "unrecoverable"]
@@ -229,11 +230,6 @@ def chaos_sweep(
         "cases": docs,
         "summary": aggregates,
     }
-
-
-def summary_bytes(summary: dict[str, Any]) -> bytes:
-    """Canonical bytes of a sweep summary (for byte-identity checks)."""
-    return dumps_canonical(summary)
 
 
 def render_chaos(summary: dict[str, Any]) -> str:

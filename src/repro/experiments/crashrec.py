@@ -21,7 +21,7 @@ checkpoint-and-release at its epoch boundary (an ``interrupted``
 event), the process must exit 0, and the restarted server must still
 finish the mission byte-identically.
 
-Used by ``scripts/crash_smoke.py`` (the CI gate) and the crash-recovery
+Used by ``scripts/smoke.py crash`` (the CI gate) and the crash-recovery
 pytest e2e tests.
 """
 
@@ -33,7 +33,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import ServiceError
 from repro.io import canonical_digest, dumps_canonical
@@ -44,6 +44,7 @@ __all__ = [
     "boot_server",
     "crashrec_passed",
     "expected_mission_bytes",
+    "graceful_shutdown",
     "render_crashrec",
     "run_crashrec",
 ]
@@ -134,21 +135,16 @@ def expected_mission_bytes(config: CrashRecConfig) -> bytes:
     return dumps_canonical(document)
 
 
-def boot_server(journal_dir: str, config: CrashRecConfig) -> subprocess.Popen:
-    """Start ``repro serve --journal-dir`` and wait for its banner.
+def boot_server(serve_args: Sequence[str]) -> subprocess.Popen:
+    """Start ``repro serve *serve_args`` and wait for its banner.
 
-    Returns the process with ``.port`` (the bound ephemeral port) and
-    ``.recovery_banner`` (the journal replay line, ``""`` on a cold
-    journal directory) attached.
+    ``serve_args`` should bind ``--port 0``.  Returns the process with
+    ``.port`` (the bound ephemeral port) and ``.recovery_banner`` (the
+    journal replay line, ``""`` without a journal or on a cold journal
+    directory) attached.
     """
     proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0",
-            "--workers", str(config.dispatchers),
-            "--service-workers", str(config.service_workers),
-            "--journal-dir", journal_dir,
-        ],
+        [sys.executable, "-m", "repro", "serve", *serve_args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -199,7 +195,12 @@ def _stream_until_kill(
     return seen
 
 
-def _graceful_shutdown(proc: subprocess.Popen, timeout: float = 60.0) -> int:
+def graceful_shutdown(proc: subprocess.Popen, timeout: float = 60.0) -> int:
+    """SIGINT the server and return its exit code.
+
+    Raises :class:`ServiceError` (after killing it) if the server has
+    not exited within ``timeout`` seconds.
+    """
     proc.send_signal(signal.SIGINT)
     try:
         proc.wait(timeout=timeout)
@@ -233,8 +234,15 @@ def run_crashrec(
     if baseline is None:
         baseline = expected_mission_bytes(config)
 
+    serve_args = [
+        "--port", "0",
+        "--workers", str(config.dispatchers),
+        "--service-workers", str(config.service_workers),
+        "--journal-dir", journal_dir,
+    ]
+
     # Phase 1: boot and load.
-    proc = boot_server(journal_dir, config)
+    proc = boot_server(serve_args)
     client = ServiceClient(port=proc.port, timeout=config.timeout_s)
     acked: dict[str, bytes] = {}
     for index in range(config.plan_jobs):
@@ -276,7 +284,7 @@ def run_crashrec(
 
     # Phase 3: restart on the same journal and let recovery finish.
     t_restart = time.monotonic()
-    proc2 = boot_server(journal_dir, config)
+    proc2 = boot_server(serve_args)
     restart_banner_s = time.monotonic() - t_restart
     client2 = ServiceClient(port=proc2.port, timeout=config.timeout_s)
     recovery = (client2.healthz().get("recovery") or {})
@@ -305,7 +313,7 @@ def run_crashrec(
         ),
         None,
     )
-    final_exit = _graceful_shutdown(proc2)
+    final_exit = graceful_shutdown(proc2)
 
     summary = {
         "format_version": 1,
@@ -333,11 +341,10 @@ def run_crashrec(
     return summary
 
 
-def render_crashrec(summary: dict[str, Any]) -> str:
-    """Human-readable one-case report (the smoke script's output)."""
+def _checks(summary: dict[str, Any]) -> list[tuple[str, bool]]:
+    """The case's named pass/fail checks: both displayed and the verdict."""
     canonical = summary["canonical"]
     timing = summary["timing"]
-    recovery = timing.get("recovery") or {}
     checks = [
         ("zero lost acknowledged jobs", canonical["zero_lost_acked"]),
         ("mission document byte-identical", canonical["mission_byte_identical"]),
@@ -349,6 +356,13 @@ def render_crashrec(summary: dict[str, Any]) -> str:
             ("drain announced on SSE", timing["drain_announced"]),
             ("mission checkpoint-released", timing["interrupted_event"]),
         ])
+    return checks
+
+
+def render_crashrec(summary: dict[str, Any]) -> str:
+    """Human-readable one-case report (the smoke check's output)."""
+    canonical = summary["canonical"]
+    recovery = summary["timing"].get("recovery") or {}
     lines = [
         f"crashrec [{summary['signal']}] seed={summary['config']['seed']} "
         f"kill_epoch={summary['config']['kill_epoch']}: "
@@ -363,24 +377,11 @@ def render_crashrec(summary: dict[str, Any]) -> str:
         f"{recovery.get('jobs_retried', 0)} retried)",
     ]
     lines.extend(
-        f"  [{'ok' if ok else 'FAIL'}] {name}" for name, ok in checks
+        f"  [{'ok' if ok else 'FAIL'}] {name}" for name, ok in _checks(summary)
     )
     return "\n".join(lines)
 
 
 def crashrec_passed(summary: dict[str, Any]) -> bool:
     """The case's overall verdict."""
-    canonical = summary["canonical"]
-    timing = summary["timing"]
-    verdict = (
-        canonical["zero_lost_acked"]
-        and canonical["mission_byte_identical"]
-        and timing["restart_exit_code"] == 0
-    )
-    if summary["signal"] == "SIGTERM":
-        verdict = verdict and (
-            timing["crash_exit_code"] == 0
-            and timing["drain_announced"]
-            and timing["interrupted_event"]
-        )
-    return verdict
+    return all(ok for _, ok in _checks(summary))

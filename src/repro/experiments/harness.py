@@ -15,13 +15,14 @@ tractable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.baselines import direct_translation_plan, hungarian_plan
 from repro.coverage.lattice import optimal_coverage_positions
 from repro.coverage.lloyd import LloydConfig
-from repro.exec import ParallelMap, resolve_workers
+from repro.exec import parallel_map
 from repro.experiments.scenarios import ScenarioSpec
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.metrics import (
@@ -279,30 +280,11 @@ def _sweep_point_from_run(run: ScenarioRun) -> SweepPoint:
     )
 
 
-def _scenario_task(task) -> ScenarioRun:
-    """One ``run_scenario`` call, shaped for :class:`ParallelMap`.
-
-    Module-level (hence picklable) so the process backend can ship it;
-    ``task`` is ``(spec, separation, methods, run_kwargs)``.
-    """
-    spec, separation, methods, run_kwargs = task
-    return run_scenario(spec, separation, methods, **run_kwargs)
-
-
-def _sweep_task(task) -> "SweepResult":
-    """One whole-scenario sweep, shaped for :class:`ParallelMap`."""
-    spec, separation_factors, methods, run_kwargs = task
-    return sweep_separations(
-        spec, separation_factors, methods, workers=1, **run_kwargs
-    )
-
-
 def sweep_separations(
     spec: ScenarioSpec,
     separation_factors=(10.0, 25.0, 50.0, 75.0, 100.0),
     methods=DEFAULT_METHODS,
     workers: int | None = None,
-    backend: str = "process",
     **run_kwargs,
 ) -> SweepResult:
     """Reproduce a Fig. 3-style sweep: metrics vs M1-M2 separation.
@@ -316,19 +298,12 @@ def sweep_separations(
         ``REPRO_WORKERS``, default 1 = inline).  Results are identical
         for any worker count: every point is a pure computation, and
         per-worker obs spans/metrics merge back in point order.
-    backend : str
-        :class:`repro.exec.ParallelMap` backend for ``workers > 1``.
     """
-    workers = resolve_workers(workers)
-    seps = list(separation_factors)
-    if workers > 1 and len(seps) > 1:
-        engine = ParallelMap(backend=backend, workers=workers)
-        runs = engine.map(
-            _scenario_task,
-            [(spec, sep, tuple(methods), dict(run_kwargs)) for sep in seps],
-        )
-    else:
-        runs = [run_scenario(spec, sep, methods, **run_kwargs) for sep in seps]
+    runs = parallel_map(
+        partial(run_scenario, spec, methods=tuple(methods), **run_kwargs),
+        separation_factors,
+        workers=workers,
+    )
     return SweepResult(
         scenario_id=spec.scenario_id,
         points=[_sweep_point_from_run(run) for run in runs],
@@ -340,7 +315,6 @@ def run_scenarios(
     separation_factor: float = 20.0,
     methods=DEFAULT_METHODS,
     workers: int | None = None,
-    backend: str = "process",
     **run_kwargs,
 ) -> dict[int, ScenarioRun]:
     """Run several scenarios (Table I / report path), optionally in parallel.
@@ -352,21 +326,16 @@ def run_scenarios(
         any ``workers`` count.
     """
     specs = list(specs)
-    workers = resolve_workers(workers)
-    if workers > 1 and len(specs) > 1:
-        engine = ParallelMap(backend=backend, workers=workers)
-        runs = engine.map(
-            _scenario_task,
-            [
-                (spec, separation_factor, tuple(methods), dict(run_kwargs))
-                for spec in specs
-            ],
-        )
-    else:
-        runs = [
-            run_scenario(spec, separation_factor, methods, **run_kwargs)
-            for spec in specs
-        ]
+    runs = parallel_map(
+        partial(
+            run_scenario,
+            separation_factor=separation_factor,
+            methods=tuple(methods),
+            **run_kwargs,
+        ),
+        specs,
+        workers=workers,
+    )
     return {spec.scenario_id: run for spec, run in zip(specs, runs)}
 
 
@@ -375,24 +344,17 @@ def sweep_many(
     separation_factors=(10.0, 25.0, 50.0, 75.0, 100.0),
     methods=DEFAULT_METHODS,
     workers: int | None = None,
-    backend: str = "process",
     **run_kwargs,
 ) -> list[SweepResult]:
     """Full sweeps for several scenarios, one worker task per scenario."""
-    specs = list(specs)
-    workers = resolve_workers(workers)
-    if workers > 1 and len(specs) > 1:
-        engine = ParallelMap(backend=backend, workers=workers)
-        return engine.map(
-            _sweep_task,
-            [
-                (spec, tuple(separation_factors), tuple(methods), dict(run_kwargs))
-                for spec in specs
-            ],
-        )
-    return [
-        sweep_separations(
-            spec, separation_factors, methods, workers=1, **run_kwargs
-        )
-        for spec in specs
-    ]
+    return parallel_map(
+        partial(
+            sweep_separations,
+            separation_factors=tuple(separation_factors),
+            methods=tuple(methods),
+            workers=1,
+            **run_kwargs,
+        ),
+        specs,
+        workers=workers,
+    )

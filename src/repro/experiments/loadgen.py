@@ -483,6 +483,15 @@ def run_loadgen_fleet(
     return summary
 
 
+def _projection(summary: dict[str, Any]) -> dict[str, Any]:
+    """The deterministic part of a summary (see :func:`summary_bytes`)."""
+    return {
+        "format_version": summary["format_version"],
+        "config": summary["config"],
+        "canonical": summary["canonical"],
+    }
+
+
 def summary_bytes(summary: dict[str, Any]) -> bytes:
     """Canonical bytes of the *deterministic* part of a summary.
 
@@ -491,11 +500,38 @@ def summary_bytes(summary: dict[str, Any]) -> bytes:
     with different ``service_workers``; timing and drain sections are
     measurements and stay out.
     """
-    return dumps_canonical({
-        "format_version": summary["format_version"],
-        "config": summary["config"],
-        "canonical": summary["canonical"],
-    })
+    return dumps_canonical(_projection(summary))
+
+
+def _checks(summary: dict[str, Any]) -> list[tuple[str, bool]]:
+    """The run's named pass/fail checks: both displayed and the verdict."""
+    canonical = summary["canonical"]
+    checks = [
+        ("all clients completed", canonical["all_clients_completed"]),
+        ("zero 5xx", canonical["zero_5xx"]),
+        ("429 Retry-After correct", canonical["retry_after_correct"]),
+        ("dedup exact", canonical["dedup_exact"]),
+        ("results byte-identical", canonical["results_byte_identical"]),
+    ]
+    drain = summary.get("drain") or {}
+    if drain:
+        checks.append((
+            "drain graceful",
+            bool(
+                drain.get("draining_announced")
+                and drain.get("rejects_new_work")
+            ),
+        ))
+    recovery = summary.get("recovery") or {}
+    if recovery:
+        # A drained fleet's journal restores every unique job terminal
+        # - a requeue here means a completed job's durability was lost.
+        checks.append((
+            "restart recovery clean",
+            recovery.get("jobs_requeued", 0) == 0
+            and recovery.get("jobs_restored", 0) >= canonical["uniques"],
+        ))
+    return checks
 
 
 def render_loadgen(summary: dict[str, Any]) -> str:
@@ -518,31 +554,8 @@ def render_loadgen(summary: dict[str, Any]) -> str:
     table = format_table(
         ["endpoint", "n", "p50 ms", "p95 ms", "p99 ms", "max ms"], rows
     )
-    checks = [
-        ("all clients completed", canonical["all_clients_completed"]),
-        ("zero 5xx", canonical["zero_5xx"]),
-        ("429 Retry-After correct", canonical["retry_after_correct"]),
-        ("dedup exact", canonical["dedup_exact"]),
-        ("results byte-identical", canonical["results_byte_identical"]),
-    ]
-    drain = summary.get("drain") or {}
-    if drain:
-        checks.append((
-            "drain graceful",
-            bool(
-                drain.get("draining_announced")
-                and drain.get("rejects_new_work")
-            ),
-        ))
-    recovery = summary.get("recovery") or {}
-    if recovery:
-        checks.append((
-            "restart recovery clean",
-            recovery.get("jobs_requeued", 0) == 0
-            and recovery.get("jobs_restored", 0) >= canonical["uniques"],
-        ))
     check_lines = "\n".join(
-        f"  [{'ok' if ok else 'FAIL'}] {name}" for name, ok in checks
+        f"  [{'ok' if ok else 'FAIL'}] {name}" for name, ok in _checks(summary)
     )
     header = (
         f"loadgen: {canonical['clients']} clients "
@@ -551,6 +564,7 @@ def render_loadgen(summary: dict[str, Any]) -> str:
         f"{timing['rejected_429']} x 429) in {timing['elapsed_s']:.2f}s "
         f"({timing['throughput_rps']:.1f} req/s)"
     )
+    recovery = summary.get("recovery") or {}
     if recovery:
         header += (
             f"\nrestart: {recovery.get('jobs_restored', 0)} jobs restored "
@@ -559,35 +573,10 @@ def render_loadgen(summary: dict[str, Any]) -> str:
             f"{recovery.get('journal_records', 0)} journal records in "
             f"{recovery.get('replay_s', 0.0):.3f}s"
         )
-    digest = canonical_digest({
-        "format_version": summary["format_version"],
-        "config": summary["config"],
-        "canonical": canonical,
-    })
+    digest = canonical_digest(_projection(summary))
     return f"{header}\n{table}\n{check_lines}\ncanonical digest {digest}"
 
 
 def loadgen_passed(summary: dict[str, Any]) -> bool:
     """The run's overall verdict (the CLI's exit code)."""
-    canonical = summary["canonical"]
-    verdict = (
-        canonical["all_clients_completed"]
-        and canonical["zero_5xx"]
-        and canonical["retry_after_correct"]
-        and canonical["dedup_exact"]
-        and canonical["results_byte_identical"]
-    )
-    drain = summary.get("drain") or {}
-    if drain:
-        verdict = verdict and bool(
-            drain.get("draining_announced") and drain.get("rejects_new_work")
-        )
-    recovery = summary.get("recovery") or {}
-    if recovery:
-        # A drained fleet's journal restores every unique job terminal
-        # - a requeue here means a completed job's durability was lost.
-        verdict = verdict and (
-            recovery.get("jobs_requeued", 0) == 0
-            and recovery.get("jobs_restored", 0) >= canonical["uniques"]
-        )
-    return verdict
+    return all(ok for _, ok in _checks(summary))

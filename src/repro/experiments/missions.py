@@ -21,12 +21,13 @@ table into the markdown report.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Sequence
 
 from repro.errors import MissionError
-from repro.exec import ParallelMap, resolve_workers
+from repro.exec import parallel_map, resolve_workers
 from repro.experiments.tables import format_table
-from repro.io import canonical_digest, dumps_canonical
+from repro.io import canonical_digest
 from repro.obs import span
 
 # NOTE: repro.missions is imported inside functions - this module is
@@ -40,7 +41,6 @@ __all__ = [
     "missions_passed",
     "render_missions",
     "run_mission_cell",
-    "summary_bytes",
 ]
 
 #: default family subset - one compact, one elongated, one holed FoI,
@@ -92,12 +92,6 @@ def run_mission_cell(
     return row
 
 
-def _mission_task(task) -> dict[str, Any]:
-    """Module-level (picklable) worker task for :class:`ParallelMap`."""
-    spec, config = task
-    return run_mission_cell(spec, config)
-
-
 def mission_campaign(
     families: Sequence[str] = DEFAULT_FAMILIES,
     motions: Sequence[str] | None = None,
@@ -105,14 +99,13 @@ def mission_campaign(
     epochs: int = 3,
     config: MissionConfig | None = None,
     workers: int | None = None,
-    backend: str = "process",
 ) -> dict[str, Any]:
     """Run the (family, motion, seed) matrix and aggregate a summary.
 
     Identical output for any ``workers`` count: every mission scopes
     its own metrics and cache, so fan-out order cannot leak into the
-    rows.  Serialize with :func:`summary_bytes` for byte-identity
-    comparisons across runs and worker counts.
+    rows.  Serialize with :func:`repro.io.dumps_canonical` for
+    byte-identity comparisons across runs and worker counts.
     """
     from repro.experiments.zoo.families import FAMILIES
     from repro.missions import MOTIONS, MissionConfig, MissionSpec
@@ -137,11 +130,9 @@ def mission_campaign(
     ]
     workers = resolve_workers(workers)
     with span("mission.campaign", cells=len(specs), workers=workers):
-        if workers > 1 and len(specs) > 1:
-            engine = ParallelMap(backend=backend, workers=workers)
-            rows = engine.map(_mission_task, [(s, config) for s in specs])
-        else:
-            rows = [run_mission_cell(s, config) for s in specs]
+        rows = parallel_map(
+            partial(run_mission_cell, config=config), specs, workers=workers
+        )
 
     per_motion: dict[str, Any] = {}
     for motion in motions:
@@ -179,11 +170,6 @@ def mission_campaign(
             ),
         },
     }
-
-
-def summary_bytes(summary: dict[str, Any]) -> bytes:
-    """Canonical bytes of a campaign summary (byte-identity checks)."""
-    return dumps_canonical(summary)
 
 
 def render_missions(summary: dict[str, Any]) -> str:

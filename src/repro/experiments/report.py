@@ -32,7 +32,6 @@ def build_report(
     scenario_ids: Sequence[int] | None = None,
     methods: Sequence[str] = DEFAULT_METHODS,
     workers: int | None = None,
-    backend: str = "process",
     chaos: bool = False,
     chaos_seeds: Sequence[int] = (0,),
     chaos_scenarios: Sequence[int] | None = None,
@@ -92,8 +91,7 @@ def build_report(
             separation_factor,
             methods,
             workers=workers,
-            backend=backend,
-            **run_kwargs,
+                **run_kwargs,
         )
 
     parts = [

@@ -10,7 +10,7 @@ of growing size, recording wall-clock seconds and peak allocation
 
 ``python -m repro report --scaling`` appends the resulting curves to
 the reproduction report; ``benchmarks/test_bench_perf_scaling.py`` and
-``scripts/scaling_smoke.py`` assert budgets on them.
+``scripts/smoke.py scaling`` assert budgets on them.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from repro.experiments.zoo.campaign import (
     replay_counterexample,
     run_zoo_case,
     shrink_case,
-    summary_bytes,
     zoo_campaign,
 )
 from repro.experiments.zoo.families import (
@@ -59,7 +58,6 @@ __all__ = [
     "run_zoo_case",
     "shrink_case",
     "shrink_hole_to_clearance",
-    "summary_bytes",
     "validate_foi",
     "zoo_campaign",
 ]

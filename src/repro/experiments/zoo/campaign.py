@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from repro.baselines.hungarian import matching_cost, min_cost_matching
 from repro.coverage import LloydConfig
 from repro.errors import ReproError, ScenarioError
-from repro.exec import ParallelMap, resolve_workers
+from repro.exec import parallel_map, resolve_workers
 from repro.experiments.tables import format_table
 from repro.experiments.zoo.families import (
     FAMILIES,
@@ -63,7 +64,6 @@ __all__ = [
     "render_zoo",
     "run_zoo_case",
     "shrink_case",
-    "summary_bytes",
     "zoo_campaign",
 ]
 
@@ -485,27 +485,20 @@ def replay_counterexample(
 # ----------------------------------------------------------------------
 
 
-def _zoo_task(task) -> dict[str, Any]:
-    """Module-level (picklable) worker task for :class:`ParallelMap`."""
-    case, config = task
-    return run_zoo_case(case, config)
-
-
 def zoo_campaign(
     families: Sequence[str] = FAMILIES,
     seeds: Sequence[int] = (0, 1, 2),
     config: ZooConfig | None = None,
     workers: int | None = None,
-    backend: str = "process",
 ) -> dict[str, Any]:
     """Run the full (family, seed) matrix and aggregate a summary.
 
     Returns a plain-JSON dict: one case document per cell in
     deterministic matrix order, per-family aggregates, and shrunk
     replayable counterexamples for every failure.  Identical for any
-    ``workers`` count; serialize with :func:`summary_bytes` to compare
-    runs (the digest of every plan document rides along, so the
-    comparison covers plan bytes too).
+    ``workers`` count; serialize with :func:`repro.io.dumps_canonical`
+    to compare runs (the digest of every plan document rides along, so
+    the comparison covers plan bytes too).
     """
     config = config or ZooConfig()
     unknown = [f for f in families if f not in FAMILIES]
@@ -516,11 +509,9 @@ def zoo_campaign(
     cases = [ZooCase(family, seed) for family in families for seed in seeds]
     workers = resolve_workers(workers)
     with span("zoo.campaign", cases=len(cases), workers=workers):
-        if workers > 1 and len(cases) > 1:
-            engine = ParallelMap(backend=backend, workers=workers)
-            docs = engine.map(_zoo_task, [(c, config) for c in cases])
-        else:
-            docs = [run_zoo_case(c, config) for c in cases]
+        docs = parallel_map(
+            partial(run_zoo_case, config=config), cases, workers=workers
+        )
 
         counterexamples = []
         shrunk_runs = 0
@@ -562,11 +553,6 @@ def zoo_campaign(
             "all_pass": all(d["outcome"] == "pass" for d in docs),
         },
     }
-
-
-def summary_bytes(summary: dict[str, Any]) -> bytes:
-    """Canonical bytes of a campaign summary (byte-identity checks)."""
-    return dumps_canonical(summary)
 
 
 def render_zoo(summary: dict[str, Any]) -> str:

@@ -1,7 +1,10 @@
 """Tests for the parallel map engine (backends, seeding, faults)."""
 
+import os
 import random
 import time
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,6 +50,20 @@ def _traced(x):
     with span("task.work", item=x):
         get_metrics().counter("task.count").inc()
     return x
+
+
+def _with_pid(x):
+    return x, os.getpid()
+
+
+@dataclass(frozen=True)
+class _Scale:
+    factor: int
+    offset: int = 0
+
+
+def _scaled(x, config):
+    return config.factor * x + config.offset
 
 
 @pytest.fixture
@@ -284,3 +301,31 @@ class TestObsMerge:
             for r in tracer.get_trace()
             if r.attributes.get("origin") == "exec.worker"
         ]
+
+
+class TestFanOutSelection:
+    """``parallel_map`` runs inline for one worker, fans out otherwise."""
+
+    @pytest.mark.parametrize("workers, items", [(1, range(4)), (2, range(1))])
+    def test_one_worker_or_one_item_runs_inline(self, obs, workers, items):
+        tracer, metrics = obs
+        calls = []
+        # A closure cannot pickle: only the inline path can run it.
+        out = parallel_map(lambda x: calls.append(x) or 2 * x, items, workers=workers)
+        assert out == [2 * x for x in items]
+        assert calls == list(items)
+        assert not [r for r in tracer.get_trace() if r.name == "exec.map"]
+        assert metrics.counter("exec.tasks_submitted").value == 0
+
+    def test_two_workers_fan_out_in_input_order(self, obs):
+        tracer, metrics = obs
+        out = parallel_map(_with_pid, range(6), workers=2)
+        assert [x for x, _ in out] == list(range(6))
+        assert all(pid != os.getpid() for _, pid in out)
+        (map_span,) = [r for r in tracer.get_trace() if r.name == "exec.map"]
+        assert map_span.attributes["backend"] == "process"
+        assert metrics.counter("exec.tasks_submitted").value == 6
+
+    def test_partial_with_config_dataclass_ships_to_processes(self, obs):
+        fn = partial(_scaled, config=_Scale(factor=3, offset=1))
+        assert parallel_map(fn, range(5), workers=2) == [1, 4, 7, 10, 13]

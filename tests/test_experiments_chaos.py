@@ -4,14 +4,15 @@ import json
 
 import pytest
 
+from repro.errors import PlanningError
 from repro.experiments.chaos import (
     ChaosCase,
     ChaosConfig,
     chaos_sweep,
     render_chaos,
     run_chaos_case,
-    summary_bytes,
 )
+from repro.io import dumps_canonical
 
 SMALL = ChaosConfig(robot_count=81)
 MATRIX = dict(
@@ -42,21 +43,26 @@ class TestSweep:
                 assert case["stage"]
 
     def test_summary_is_canonical_json(self, sweep):
-        payload = summary_bytes(sweep)
+        payload = dumps_canonical(sweep)
         assert json.loads(payload) == sweep
 
     def test_same_seed_byte_identical(self, sweep):
         again = chaos_sweep(workers=1, **MATRIX)
-        assert summary_bytes(again) == summary_bytes(sweep)
+        assert dumps_canonical(again) == dumps_canonical(sweep)
 
     def test_workers_do_not_change_bytes(self, sweep):
         parallel = chaos_sweep(workers=2, **MATRIX)
-        assert summary_bytes(parallel) == summary_bytes(sweep)
+        assert dumps_canonical(parallel) == dumps_canonical(sweep)
 
     def test_render_mentions_every_case(self, sweep):
         text = render_chaos(sweep)
         assert "single" in text and "cluster" in text
         assert "recovered" in text
+
+    def test_unknown_archetype_rejected_before_fan_out(self):
+        # Typed and up front: no worker ever plans a baseline for it.
+        with pytest.raises(PlanningError, match="meteor"):
+            chaos_sweep(archetypes=("meteor",), workers=2)
 
     def test_single_case_document(self):
         doc = run_chaos_case(

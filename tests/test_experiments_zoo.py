@@ -24,12 +24,12 @@ from repro.experiments.zoo import (
     replay_counterexample,
     run_zoo_case,
     shrink_hole_to_clearance,
-    summary_bytes,
     validate_foi,
     zoo_campaign,
 )
 from repro.experiments.zoo import campaign as campaign_module
 from repro.foi.shapes import ellipse_polygon, radial_blob
+from repro.io import dumps_canonical
 
 UNIT_CONFIG = ZooConfig(
     robot_count=25, foi_target_points=120, grid_target=400, shrink=False
@@ -198,9 +198,9 @@ class TestCampaign:
             seeds=(0, 1),
             config=UNIT_CONFIG,
         )
-        serial = zoo_campaign(workers=1, backend="serial", **kwargs)
-        threaded = zoo_campaign(workers=2, backend="thread", **kwargs)
-        assert summary_bytes(serial) == summary_bytes(threaded)
+        serial = zoo_campaign(workers=1, **kwargs)
+        fanned = zoo_campaign(workers=2, **kwargs)
+        assert dumps_canonical(serial) == dumps_canonical(fanned)
         assert serial["summary"]["all_pass"]
         assert serial["counterexamples"] == []
         for agg in serial["families"].values():
@@ -214,7 +214,6 @@ class TestCampaign:
     def test_render_zoo_lists_each_family(self):
         summary = zoo_campaign(
             families=("annulus",), seeds=(0,), config=UNIT_CONFIG, workers=1,
-            backend="serial",
         )
         text = render_zoo(summary)
         assert "annulus" in text
@@ -241,7 +240,6 @@ class TestShrinkAndReplay:
         )
         summary = zoo_campaign(
             families=("rough",), seeds=(0,), config=config, workers=1,
-            backend="serial",
         )
         assert not summary["summary"]["all_pass"]
         assert summary["counterexamples"]
@@ -268,7 +266,6 @@ class TestShrinkAndReplay:
         )
         summary = zoo_campaign(
             families=("rough",), seeds=(0,), config=config, workers=1,
-            backend="serial",
         )
         entry = summary["counterexamples"][0]
         monkeypatch.setattr(campaign_module, "_check_document", real)
