@@ -243,41 +243,46 @@ def run_crashrec(
 
     # Phase 1: boot and load.
     proc = boot_server(serve_args)
-    client = ServiceClient(port=proc.port, timeout=config.timeout_s)
-    acked: dict[str, bytes] = {}
-    for index in range(config.plan_jobs):
-        admitted = client.submit_request(config.plan_request(index))
-        job_id = admitted["job_id"]
-        client.wait(job_id, timeout=config.timeout_s)
-        acked[job_id] = client.result_bytes(job_id)
-    mission = client.submit_mission(
-        config.mission_spec(), config.mission_config()
-    )
-    mission_id = mission["job_id"]
+    try:
+        client = ServiceClient(port=proc.port, timeout=config.timeout_s)
+        acked: dict[str, bytes] = {}
+        for index in range(config.plan_jobs):
+            admitted = client.submit_request(config.plan_request(index))
+            job_id = admitted["job_id"]
+            client.wait(job_id, timeout=config.timeout_s)
+            acked[job_id] = client.result_bytes(job_id)
+        mission = client.submit_mission(
+            config.mission_spec(), config.mission_config()
+        )
+        mission_id = mission["job_id"]
 
-    # Phase 2: the seeded crash.
-    exit_code: int | None = None
-    drain_seen = False
-    interrupted_seen = False
-    if sig == "SIGKILL":
-        pre_kill_events = _stream_until_kill(client, proc, mission_id, config)
-        proc.wait(timeout=30.0)
-        exit_code = proc.returncode
-    else:
-        pre_kill_events = []
-        for event in client.iter_events(mission_id, timeout=config.timeout_s):
-            pre_kill_events.append(event)
-            if event.get("kind") == "epoch" and exit_code is None:
-                proc.send_signal(signal.SIGTERM)
-                exit_code = -1  # marker: signal sent, waiting for exit
-            if event.get("kind") == "draining":
-                drain_seen = True
-            if event.get("kind") == "interrupted":
-                interrupted_seen = True
-            if event.get("kind") == "end":
-                break
-        proc.wait(timeout=config.timeout_s)
-        exit_code = proc.returncode
+        # Phase 2: the seeded crash.
+        exit_code: int | None = None
+        drain_seen = False
+        interrupted_seen = False
+        if sig == "SIGKILL":
+            pre_kill_events = _stream_until_kill(client, proc, mission_id, config)
+            proc.wait(timeout=30.0)
+            exit_code = proc.returncode
+        else:
+            pre_kill_events = []
+            for event in client.iter_events(mission_id, timeout=config.timeout_s):
+                pre_kill_events.append(event)
+                if event.get("kind") == "epoch" and exit_code is None:
+                    proc.send_signal(signal.SIGTERM)
+                    exit_code = -1  # marker: signal sent, waiting for exit
+                if event.get("kind") == "draining":
+                    drain_seen = True
+                if event.get("kind") == "interrupted":
+                    interrupted_seen = True
+                if event.get("kind") == "end":
+                    break
+            proc.wait(timeout=config.timeout_s)
+            exit_code = proc.returncode
+    finally:
+        if proc.poll() is None:  # a step above raised: never leak it
+            proc.kill()
+            proc.wait()
     epochs_before = sum(
         1 for e in pre_kill_events if e.get("kind") == "epoch"
     )
@@ -286,33 +291,37 @@ def run_crashrec(
     t_restart = time.monotonic()
     proc2 = boot_server(serve_args)
     restart_banner_s = time.monotonic() - t_restart
-    client2 = ServiceClient(port=proc2.port, timeout=config.timeout_s)
-    recovery = (client2.healthz().get("recovery") or {})
-    resumed_events = list(
-        client2.iter_events(mission_id, timeout=config.timeout_s)
-    )
-    client2.wait(mission_id, timeout=config.timeout_s)
-    mission_bytes = client2.result_bytes(mission_id)
-    mission_status = client2.status(mission_id)
-
-    # Phase 4: the promises.
-    lost_acked = []
-    for job_id, payload in acked.items():
-        status = client2.status(job_id)
-        survived = (
-            status.get("state") == "done"
-            and client2.result_bytes(job_id) == payload
+    try:
+        client2 = ServiceClient(port=proc2.port, timeout=config.timeout_s)
+        recovery = (client2.healthz().get("recovery") or {})
+        resumed_events = list(
+            client2.iter_events(mission_id, timeout=config.timeout_s)
         )
-        if not survived:
-            lost_acked.append(job_id)
-    resumed_from = next(
-        (
-            int(e.get("epoch", 0))
-            for e in resumed_events
-            if e.get("kind") == "resumed"
-        ),
-        None,
-    )
+        client2.wait(mission_id, timeout=config.timeout_s)
+        mission_bytes = client2.result_bytes(mission_id)
+        mission_status = client2.status(mission_id)
+
+        # Phase 4: the promises.
+        lost_acked = []
+        for job_id, payload in acked.items():
+            status = client2.status(job_id)
+            survived = (
+                status.get("state") == "done"
+                and client2.result_bytes(job_id) == payload
+            )
+            if not survived:
+                lost_acked.append(job_id)
+        resumed_from = next(
+            (
+                int(e.get("epoch", 0))
+                for e in resumed_events
+                if e.get("kind") == "resumed"
+            ),
+            None,
+        )
+    except BaseException:
+        graceful_shutdown(proc2)
+        raise
     final_exit = graceful_shutdown(proc2)
 
     summary = {

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.network.links import LinkTable, links_alive
-from repro.network.udg import UnitDiskGraph
+from repro.network.udg import isolated_counts, udg_edges
 from repro.robots.motion import SwarmTrajectory
 from repro.viz.chart import LineChart
 
@@ -79,7 +79,6 @@ def record_trace(
     )
     alive_counts = []
     total_counts = []
-    isolated_counts = []
     running = []
     stable = np.ones(links.link_count, dtype=bool)
     for snapshot in table:
@@ -87,20 +86,12 @@ def record_trace(
         stable &= alive
         alive_counts.append(int(alive.sum()))
         running.append(int(stable.sum()))
-        graph = UnitDiskGraph(snapshot, links.comm_range)
-        total_counts.append(len(graph.edges))
-        if anchors is None:
-            comps = graph.components
-            isolated_counts.append(
-                graph.node_count - len(comps[0]) if comps else 0
-            )
-        else:
-            isolated_counts.append(int((~graph.nodes_connected_to(anchors)).sum()))
+        total_counts.append(len(udg_edges(snapshot, links.comm_range)))
     return TransitionTrace(
         times=times,
         initial_links_alive=np.asarray(alive_counts),
         total_links=np.asarray(total_counts),
-        isolated=np.asarray(isolated_counts),
+        isolated=isolated_counts(table, links.comm_range, anchors),
         stable_links_running=np.asarray(running),
     )
 

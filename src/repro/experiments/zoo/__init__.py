@@ -14,7 +14,6 @@ from repro.experiments.zoo.campaign import (
     ZooConfig,
     ZooScenario,
     build_zoo_scenario,
-    case_bytes,
     render_zoo,
     replay_counterexample,
     run_zoo_case,
@@ -48,7 +47,6 @@ __all__ = [
     "assert_deployable",
     "build_foi",
     "build_zoo_scenario",
-    "case_bytes",
     "draw_params",
     "family_rng",
     "hole_clearance",

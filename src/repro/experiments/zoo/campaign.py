@@ -50,7 +50,7 @@ from repro.io import check_format_version, dumps_canonical, result_to_dict, traj
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.metrics import connectivity_report, stable_link_ratio
 from repro.network.links import LinkTable
-from repro.network.udg import UnitDiskGraph
+from repro.network.udg import isolated_counts
 from repro.obs import span
 from repro.robots import RadioSpec, Swarm
 
@@ -217,14 +217,13 @@ def _check_connectivity(result, comm_range: float, resolution: int) -> dict[str,
     report = connectivity_report(
         result.trajectory, comm_range, result.boundary_anchors, resolution
     )
-    anchors = [int(a) for a in result.boundary_anchors]
-    left_isolated = 0
     disc = result.trajectory.discontinuity_times()
-    if len(disc):
-        for snapshot in result.trajectory.positions_over(disc, side="left"):
-            graph = UnitDiskGraph(snapshot, comm_range)
-            reached = graph.nodes_connected_to(anchors)
-            left_isolated = max(left_isolated, int((~reached).sum()))
+    left = isolated_counts(
+        result.trajectory.positions_over(disc, side="left"),
+        comm_range,
+        result.boundary_anchors,
+    )
+    left_isolated = int(left.max(initial=0))
     ok = report.connected and left_isolated == 0
     return {
         "ok": ok,
@@ -394,11 +393,6 @@ def _safe_draw(family: str, seed: int) -> ZooParams | None:
         return None
 
 
-def case_bytes(doc: dict[str, Any]) -> bytes:
-    """Canonical bytes of one case document (replay byte-identity)."""
-    return dumps_canonical(doc)
-
-
 def _failing_invariants(doc: dict[str, Any]) -> list[str]:
     if doc["outcome"] == "error":
         return ["generation"]
@@ -452,7 +446,7 @@ def _counterexample(doc: dict[str, Any]) -> dict[str, Any]:
         "seed": doc["seed"],
         "params": doc.get("params", {}),
         "invariants": _failing_invariants(doc),
-        "case_sha256": hashlib.sha256(case_bytes(doc)).hexdigest(),
+        "case_sha256": hashlib.sha256(dumps_canonical(doc)).hexdigest(),
     }
 
 
@@ -475,7 +469,7 @@ def replay_counterexample(
     recorded = entry.get("case_sha256")
     matches = (
         recorded is None
-        or hashlib.sha256(case_bytes(doc)).hexdigest() == recorded
+        or hashlib.sha256(dumps_canonical(doc)).hexdigest() == recorded
     )
     return doc, matches
 

@@ -12,7 +12,7 @@ from repro.network.graphs import (
     connected_components,
 )
 from repro.network.links import LinkTable, count_surviving_links, links_alive
-from repro.network.udg import UnitDiskGraph, udg_edges
+from repro.network.udg import UnitDiskGraph, isolated_counts, udg_edges
 
 __all__ = [
     "LinkTable",
@@ -25,6 +25,7 @@ __all__ = [
     "edge_shared_neighbor_counts",
     "extract_triangulation",
     "extract_triangulation_localized",
+    "isolated_counts",
     "links_alive",
     "udg_edges",
 ]

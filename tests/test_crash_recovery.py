@@ -13,11 +13,13 @@ Three layers, slowest last:
   jobs, byte-identical mission documents.
 """
 
+import signal
 import time
 
 import pytest
 
 from repro.errors import ServiceError
+from repro.experiments import crashrec
 from repro.experiments.crashrec import (
     CrashRecConfig,
     crashrec_passed,
@@ -151,6 +153,88 @@ class TestMissionResumeAcrossRestart:
             assert final["state"] == "done"
             assert final["provenance"] in ("recovered", "retried")
             assert client.result_bytes(job_id) == baseline
+
+
+class FakeServer:
+    """Stands in for a ``repro serve`` child: records how it was stopped."""
+
+    port = 1
+    recovery_banner = ""
+
+    def __init__(self):
+        self.returncode = None
+        self.signals = []
+
+    def poll(self):
+        return self.returncode
+
+    def kill(self):
+        self.returncode = -9
+
+    def send_signal(self, sig):
+        self.signals.append(sig)
+        self.returncode = 0
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+
+class HealthzFailsClient:
+    """Loads and streams fine; the restarted server's ``healthz`` fails."""
+
+    def __init__(self, port, timeout):
+        pass
+
+    def submit_request(self, doc):
+        return {"job_id": "plan-0"}
+
+    def wait(self, job_id, timeout=None):
+        return {"state": "done"}
+
+    def result_bytes(self, job_id):
+        return b"{}"
+
+    def submit_mission(self, spec, config):
+        return {"job_id": "mission-0"}
+
+    def iter_events(self, job_id, timeout=None):
+        yield {"kind": "epoch", "epoch": 1}
+
+    def healthz(self):
+        raise ServiceError("healthz failed")
+
+
+class TestCrashrecStopsServersOnError:
+    """A harness step that raises must not leave a server running."""
+
+    @pytest.fixture
+    def servers(self, monkeypatch):
+        booted = []
+
+        def fake_boot(serve_args):
+            booted.append(FakeServer())
+            return booted[-1]
+
+        monkeypatch.setattr(crashrec, "boot_server", fake_boot)
+        return booted
+
+    def test_first_server_killed_when_loading_fails(self, servers, monkeypatch, tmp_path):
+        def refuse(port, timeout):
+            raise ServiceError("connection refused")
+
+        monkeypatch.setattr(crashrec, "ServiceClient", refuse)
+        with pytest.raises(ServiceError, match="connection refused"):
+            run_crashrec(TestSubprocessKill9.CONFIG, str(tmp_path), baseline=b"{}")
+        assert len(servers) == 1
+        assert servers[0].poll() == -9
+
+    def test_restarted_server_shut_down_when_checks_fail(self, servers, monkeypatch, tmp_path):
+        monkeypatch.setattr(crashrec, "ServiceClient", HealthzFailsClient)
+        with pytest.raises(ServiceError, match="healthz failed"):
+            run_crashrec(TestSubprocessKill9.CONFIG, str(tmp_path), baseline=b"{}")
+        assert len(servers) == 2
+        assert servers[0].poll() == -9  # the seeded SIGKILL
+        assert servers[1].signals == [signal.SIGINT]
 
 
 class TestSubprocessKill9:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.coverage import LloydConfig
 from repro.experiments import record_trace, render_trace_chart
-from repro.network import LinkTable
-from repro.robots import straight_transition
+from repro.foi import m1_base, m2_scenario3
+from repro.marching import MarchingConfig, MarchingPlanner
+from repro.network import LinkTable, UnitDiskGraph
+from repro.robots import RadioSpec, Swarm, straight_transition
 
 
 def chain(n, spacing=1.0):
@@ -77,3 +80,38 @@ class TestRenderTraceChart:
         text = path.read_text()
         assert "initial links alive" in text
         assert "stable so far" in text
+
+
+class TestTraceOnHoleScenario:
+    """The batched isolation column equals the per-instant graph loop."""
+
+    @pytest.fixture(scope="class")
+    def flower_plan(self):
+        radio = RadioSpec.from_comm_range(80.0)
+        swarm = Swarm.deploy_lattice(m1_base(), 64, radio)
+        m2 = m2_scenario3().translated((2500.0, 0.0))
+        cfg = MarchingConfig(
+            foi_target_points=250,
+            lloyd=LloydConfig(grid_target=900, max_iterations=30),
+        )
+        return MarchingPlanner(cfg).plan(swarm, m2), radio.comm_range
+
+    @pytest.mark.parametrize("range_factor", [1.0, 0.7])
+    @pytest.mark.parametrize("use_anchors", [True, False])
+    def test_isolated_matches_oracle(self, flower_plan, range_factor, use_anchors):
+        result, comm_range = flower_plan
+        links = LinkTable.from_positions(
+            result.start_positions, range_factor * comm_range
+        )
+        anchors = list(result.boundary_anchors) if use_anchors else None
+        trace = record_trace(result.trajectory, links, anchors, resolution=24)
+        oracle = []
+        for snapshot in result.trajectory.positions_over(trace.times):
+            graph = UnitDiskGraph(snapshot, links.comm_range)
+            if anchors is None:
+                oracle.append(graph.node_count - len(graph.components[0]))
+            else:
+                oracle.append(int((~graph.nodes_connected_to(anchors)).sum()))
+        assert trace.isolated.tolist() == oracle
+        if range_factor < 1.0:
+            assert max(oracle) > 0  # the shrunken range isolates robots

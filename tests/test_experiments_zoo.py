@@ -15,7 +15,6 @@ from repro.experiments.zoo import (
     assert_deployable,
     build_foi,
     build_zoo_scenario,
-    case_bytes,
     draw_params,
     family_rng,
     hole_clearance,
@@ -178,7 +177,7 @@ class TestScenarioAndCase:
         assert doc["outcome"] in ("pass", "fail", "error")
         for method_doc in doc["methods"].values():
             assert set(method_doc["invariants"]) == set(INVARIANTS)
-        assert case_bytes(doc) == case_bytes(
+        assert dumps_canonical(doc) == dumps_canonical(
             run_zoo_case(ZooCase("corridor", 0), UNIT_CONFIG)
         )
 
