@@ -3,20 +3,22 @@
 These are conventional pytest-benchmark timings (multiple rounds) for
 the kernels the experiment harness leans on: the Hungarian assignment
 at the paper's problem size (144 robots), the sparse harmonic solve,
-the unit-disk graph build, and one Lloyd iteration.
+the unit-disk graph build, one Lloyd iteration, the FoI containment
+predicate and the connectivity-safe Lloyd step.
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines import solve_assignment
-from repro.coverage.lloyd import lloyd_iteration
-from repro.foi import m1_base
+from repro.coverage.lloyd import _connectivity_safe_step, lloyd_iteration
+from repro.foi import m1_base, m2_scenario6
 from repro.geometry import pairwise_distances
 from repro.harmonic import boundary_parameterization, circle_positions
 from repro.harmonic.solvers import solve_linear
 from repro.mesh import triangulate_foi
 from repro.network import UnitDiskGraph
+from repro.robots import RadioSpec, Swarm
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,31 @@ def test_perf_lloyd_iteration(benchmark, rng):
     weights = np.ones(len(grid))
     sites = foi.sample_free_points(144, rng)
     out = benchmark(lloyd_iteration, sites, foi, grid, weights)
+    assert out.shape == (144, 2)
+
+
+@pytest.mark.parametrize("kind", ["144 points", "2500-point grid"])
+def test_perf_foi_contains(benchmark, rng, kind):
+    """Scenario 6's holed M2: Lloyd's centroid check and grid filtering."""
+    foi = m2_scenario6()
+    lo, hi = np.array(foi.outer.bounds[:2]), np.array(foi.outer.bounds[2:])
+    if kind == "144 points":
+        pts = lo + (hi - lo) * rng.uniform(0.0, 1.0, (144, 2))
+    else:
+        g = np.linspace(0.0, 1.0, 50)
+        pts = lo + (hi - lo) * np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
+    inside = benchmark(foi.contains, pts)
+    assert 0 < inside.sum() < len(pts)
+
+
+def test_perf_connectivity_safe_step(benchmark):
+    """One safe step of 144 lattice robots toward their Lloyd centroids."""
+    foi = m1_base()
+    swarm = Swarm.deploy_lattice(foi, 144, RadioSpec.from_comm_range(80.0))
+    grid = foi.grid_points(np.sqrt(foi.area / 2000))
+    sites = swarm.positions
+    targets = lloyd_iteration(sites, foi, grid, np.ones(len(grid)))
+    out = benchmark(_connectivity_safe_step, sites, targets, 80.0, 6)
     assert out.shape == (144, 2)
 
 

@@ -13,7 +13,8 @@ disconnect the network (Sec. III-D1, last paragraph).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from repro.coverage.density import DensityFunction, uniform_density, validate_de
 from repro.foi.region import FieldOfInterest
 from repro.geometry.vec import as_points
 from repro.network.udg import UnitDiskGraph
+from repro.obs import current_span, get_metrics
 
 __all__ = ["LloydResult", "LloydConfig", "lloyd_iteration", "run_lloyd"]
 
@@ -85,8 +87,36 @@ def _assign_centroids(
 
     Sites whose region is empty (no grid point is nearest to them,
     e.g. robots still outside the FoI) get the nearest grid point as
-    centroid, pulling them into the region.
+    centroid, pulling them into the region.  One ``(grid, sites)``
+    distance pass, with no ``(grid, sites, 2)`` temporary, serves both;
+    bitwise equal to :func:`_assign_centroids_oracle` (ties go to the
+    lowest index).
     """
+    d2 = np.subtract.outer(grid[:, 0], sites[:, 0])
+    np.square(d2, out=d2)
+    dy = np.subtract.outer(grid[:, 1], sites[:, 1])
+    np.square(dy, out=dy)
+    d2 += dy
+    owner = np.argmin(d2, axis=1)
+    n = len(sites)
+    w_sum = np.bincount(owner, weights=weights, minlength=n)
+    cx = np.bincount(owner, weights=weights * grid[:, 0], minlength=n)
+    cy = np.bincount(owner, weights=weights * grid[:, 1], minlength=n)
+    centroids = sites.copy()
+    nonempty = w_sum > 0
+    centroids[nonempty, 0] = cx[nonempty] / w_sum[nonempty]
+    centroids[nonempty, 1] = cy[nonempty] / w_sum[nonempty]
+    empty = ~nonempty
+    centroids[empty] = grid[np.argmin(d2[:, empty], axis=0)]
+    return centroids
+
+
+def _assign_centroids_oracle(
+    sites: np.ndarray,
+    grid: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Strided ``(grid, sites, 2)`` form of :func:`_assign_centroids` (test oracle)."""
     diff = grid[:, None, :] - sites[None, :, :]
     d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
     owner = np.argmin(d2, axis=1)
@@ -167,21 +197,32 @@ def run_lloyd(
     total_movement = 0.0
     converged = False
     iterations = 0
+    decisions: Counter[str] = Counter()
     for iterations in range(1, cfg.max_iterations + 1):
         targets = lloyd_iteration(sites, foi, grid, weights)
         if cfg.connectivity_safe:
             new_sites = _connectivity_safe_step(
-                sites, targets, float(comm_range), cfg.max_halvings
+                sites, targets, float(comm_range), cfg.max_halvings, decisions
             )
         else:
             new_sites = targets
         step = np.hypot(*(new_sites - sites).T)
         total_movement += float(step.sum())
+        # The stopping rule reads the step taken; convergence reads the
+        # Lloyd residual, so a swarm the safety rule froze short of its
+        # centroids stops but is not converged.
+        residual = float(np.hypot(*(targets - sites).T).max())
         sites = new_sites
         snapshots.append(sites.copy())
         if float(step.max()) < tol:
-            converged = True
+            converged = residual < tol
             break
+    if cfg.connectivity_safe:
+        counts = {name: decisions[name] for name in _DECISIONS}
+        metrics = get_metrics()
+        for name, value in counts.items():
+            metrics.counter(f"lloyd.{name}").inc(value)
+        current_span().set_attributes(**counts)
     return LloydResult(
         positions=sites,
         snapshots=snapshots,
@@ -191,8 +232,17 @@ def run_lloyd(
     )
 
 
+#: Decision counters of the connectivity-safe step, reported per run as
+#: ``lloyd.<name>`` counters and attributes of the enclosing span.
+_DECISIONS = ("halvings", "backstops", "stalls")
+
+
 def _connectivity_safe_step(
-    sites: np.ndarray, targets: np.ndarray, comm_range: float, max_halvings: int
+    sites: np.ndarray,
+    targets: np.ndarray,
+    comm_range: float,
+    max_halvings: int,
+    decisions: Counter | None = None,
 ) -> np.ndarray:
     """Move toward targets, halving *individual* steps that break links.
 
@@ -210,7 +260,53 @@ def _connectivity_safe_step(
     rule (two subgroups could drift apart with all local links intact);
     if it trips, the entire step is uniformly halved, and in the worst
     case the swarm holds position for this iteration.
+
+    Each halving round is one pass over the current link array: one
+    ``hypot`` per link, and a robot is safe when any of its links stays
+    in range (robots without neighbours are exempt).  Bitwise equal to
+    :func:`_connectivity_safe_step_scalar`.  ``decisions``, when given,
+    counts the robot step halvings of the local rule (``halvings``), an
+    iteration in which the global backstop tripped (``backstops``) and
+    one in which it froze the swarm (``stalls``, also a backstop).
     """
+    if decisions is None:
+        decisions = Counter()
+    graph = UnitDiskGraph(sites, comm_range)
+    was_connected = graph.is_connected()
+    a, b = graph.edges.T
+    exempt = np.ones(len(sites), dtype=bool)
+    exempt[a] = exempt[b] = False
+    alphas = np.ones(len(sites))
+    moves = targets - sites
+    for _ in range(max_halvings + 1):
+        proposal = sites + alphas[:, None] * moves
+        gap = proposal[b] - proposal[a]
+        kept = np.hypot(gap[:, 0], gap[:, 1]) <= comm_range
+        safe = exempt.copy()
+        safe[a[kept]] = safe[b[kept]] = True
+        if safe.all():
+            break
+        alphas[~safe] /= 2.0
+        decisions["halvings"] += int(np.count_nonzero(~safe))
+    proposal = sites + alphas[:, None] * moves
+    if not was_connected or UnitDiskGraph(proposal, comm_range).is_connected():
+        return proposal
+    # Global backstop: uniformly shrink the (locally safe) step.
+    decisions["backstops"] += 1
+    scale = 1.0
+    for _ in range(max_halvings + 1):
+        scale /= 2.0
+        trial = sites + scale * alphas[:, None] * moves
+        if UnitDiskGraph(trial, comm_range).is_connected():
+            return trial
+    decisions["stalls"] += 1
+    return sites.copy()
+
+
+def _connectivity_safe_step_scalar(
+    sites: np.ndarray, targets: np.ndarray, comm_range: float, max_halvings: int
+) -> np.ndarray:
+    """Per-robot loop form of :func:`_connectivity_safe_step` (test oracle)."""
     graph = UnitDiskGraph(sites, comm_range)
     was_connected = graph.is_connected()
     n = len(sites)

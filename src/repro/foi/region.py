@@ -88,13 +88,20 @@ class FieldOfInterest:
     # ------------------------------------------------------------------
 
     def contains(self, points) -> np.ndarray:
-        """Whether points lie in the free region (inside outer, outside holes)."""
+        """Whether points lie in the free region (inside outer, outside holes).
+
+        Each hole is tested only on the points still inside: the outer
+        boundary and the earlier holes have rejected the rest.
+        """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         p = as_points(pts[None, :] if single else pts)
         inside = self.outer.contains(p, include_boundary=True)
+        free = np.flatnonzero(inside)
         for hole in self.holes:
-            inside &= ~hole.contains(p, include_boundary=False)
+            in_hole = hole.contains(p[free], include_boundary=False)
+            inside[free[in_hole]] = False
+            free = free[~in_hole]
         return bool(inside[0]) if single else inside
 
     def hole_containing(self, point) -> int | None:

@@ -20,6 +20,11 @@ from repro.geometry.vec import as_points
 
 __all__ = ["Polygon", "signed_area", "polygon_centroid"]
 
+#: Point-edge pairs one :meth:`Polygon.contains` pass tests at once.
+#: Bounds the pass's transient arrays (a few bytes per pair) whatever
+#: the number of query points.
+CONTAINS_CHUNK_PAIRS = 1 << 18
+
 
 def signed_area(vertices) -> float:
     """Signed area of the closed polygon through ``vertices``.
@@ -156,8 +161,27 @@ class Polygon:
     # Predicates
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _crossing_edges(self) -> tuple[np.ndarray, ...]:
+        """``(xi, yi, dx, dy)`` of the even-odd test, one entry per edge.
+
+        Edge ``i`` runs from ``vj = vertices[i - 1]`` to ``vi =
+        vertices[i]``; ``dx = xj - xi`` and ``dy = yj - yi``.
+        """
+        v = self._vertices
+        xi, yi = v[:, 0].copy(), v[:, 1].copy()
+        vj = np.roll(v, 1, axis=0)
+        return xi, yi, vj[:, 0] - xi, vj[:, 1] - yi
+
     def contains(self, points, include_boundary: bool = True) -> np.ndarray:
         """Vectorised point-in-polygon test (even-odd / ray crossing).
+
+        One ``(points x edges)`` pass per chunk of
+        :data:`CONTAINS_CHUNK_PAIRS` pairs: an edge crosses a point's
+        rightward ray when ``(yi > y) != (yj > y)`` and ``x`` lies left
+        of ``(xj - xi) * (y - yi) / (yj - yi) + xi``, which is evaluated
+        for the straddling pairs only; the parity of the crossings
+        decides.  Bitwise equal to :meth:`_contains_scalar`.
 
         Parameters
         ----------
@@ -170,6 +194,29 @@ class Polygon:
         -------
         ndarray of bool (or scalar bool for a single point)
         """
+        pts = np.asarray(points, dtype=float)
+        single = pts.ndim == 1
+        p = as_points(pts[None, :] if single else pts)
+        xi, yi, dx, dy = self._crossing_edges
+        inside = np.zeros(len(p), dtype=bool)
+        step = max(1, CONTAINS_CHUNK_PAIRS // len(xi))
+        for start in range(0, len(p), step):
+            x = p[start:start + step, 0]
+            y = p[start:start + step, 1]
+            above = yi > y[:, None]
+            row, col = np.nonzero(above != np.roll(above, 1, axis=1))
+            x_int = dx[col] * (y[row] - yi[col]) / dy[col] + xi[col]
+            hits = np.bincount(row[x[row] < x_int], minlength=len(x))
+            inside[start:start + step] = hits % 2 == 1
+        if include_boundary:
+            outside = np.flatnonzero(~inside)
+            if len(outside):
+                tol = 1e-9 * max(1.0, self.perimeter)
+                inside[outside] = self.boundary_distances(p[outside]) <= tol
+        return bool(inside[0]) if single else inside
+
+    def _contains_scalar(self, points, include_boundary: bool = True) -> np.ndarray:
+        """Per-vertex loop form of :meth:`contains` (test oracle)."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         p = as_points(pts[None, :] if single else pts)

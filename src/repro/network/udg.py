@@ -17,7 +17,8 @@ Definition-2 connectivity over a whole transition goes through
 :func:`isolated_counts`, which hashes and labels a chunk of snapshots at
 once instead of building one :class:`UnitDiskGraph` per instant; the
 per-snapshot :meth:`UnitDiskGraph.nodes_connected_to` and
-:attr:`UnitDiskGraph.components` stay the public API and its oracle.
+:attr:`UnitDiskGraph.components` stay the public API and its oracle
+(also of :meth:`UnitDiskGraph.is_connected`, one csgraph count).
 """
 
 from __future__ import annotations
@@ -404,8 +405,22 @@ class UnitDiskGraph:
         return comps
 
     def is_connected(self) -> bool:
-        """Whether all nodes form a single component."""
-        return self.node_count <= 1 or len(self.components) == 1
+        """Whether all nodes form a single component.
+
+        One ``scipy.sparse.csgraph`` component count over the CSR
+        adjacency; equal to ``len(self.components) == 1``.
+        """
+        n = self.node_count
+        if n <= 1:
+            return True
+        # Imported here, as in :func:`isolated_counts`: ``import repro``
+        # does not load csgraph.
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        indptr, indices = self._csr
+        graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        return connected_components(graph, directed=False, return_labels=False) == 1
 
     def nodes_connected_to(self, anchors) -> np.ndarray:
         """Boolean mask of nodes with a path to any node in ``anchors``.

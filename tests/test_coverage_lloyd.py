@@ -16,6 +16,7 @@ from repro.coverage import (
     validate_density,
 )
 from repro.network import UnitDiskGraph
+from repro.obs import Metrics, Tracer, activate, activate_metrics
 
 
 class TestRunLloyd:
@@ -93,6 +94,55 @@ class TestRunLloyd:
         )
         for snap in result.snapshots:
             assert UnitDiskGraph(snap, rc).is_connected()
+
+
+def _frozen_pair(square_foi):
+    """Two robots exactly in range whose centroids lie 20 m further out."""
+    return run_lloyd([(45.0, 50.0), (55.0, 50.0)], square_foi, comm_range=10.0)
+
+
+class TestSafetyBackstop:
+    def test_frozen_swarm_is_not_converged(self, square_foi):
+        result = _frozen_pair(square_foi)
+        # The backstop freezes the pair (no move keeps the link), so the
+        # loop stops after one iteration - but short of the centroids.
+        assert result.iterations == 1
+        assert result.total_movement == 0.0
+        assert result.positions.tolist() == [[45.0, 50.0], [55.0, 50.0]]
+        assert not result.converged
+
+
+class TestDecisionCounters:
+    def test_frozen_pair_counts_one_stall(self, square_foi):
+        tracer, metrics = Tracer(), Metrics()
+        with activate(tracer), activate_metrics(metrics), tracer.span("adjust"):
+            _frozen_pair(square_foi)
+        # Both robots halve on each of the max_halvings + 1 = 7 rounds,
+        # then the global backstop trips and, finding no safe scale,
+        # freezes the swarm.
+        counts = {"halvings": 14, "backstops": 1, "stalls": 1}
+        for name, value in counts.items():
+            assert metrics.counter(f"lloyd.{name}").value == value
+        (adjust,) = tracer.get_trace()
+        assert adjust.attributes == counts
+
+    def test_roomy_square_counts_nothing(self, square_foi, rng):
+        start = square_foi.sample_free_points(16, rng)
+        metrics = Metrics()
+        with activate_metrics(metrics):
+            run_lloyd(start, square_foi, comm_range=200.0)
+        for name in ("halvings", "backstops", "stalls"):
+            assert metrics.counter(f"lloyd.{name}").value == 0
+
+    def test_unsafe_mode_counts_nothing(self, square_foi, rng):
+        start = square_foi.sample_free_points(4, rng)
+        metrics = Metrics()
+        with activate_metrics(metrics):
+            run_lloyd(
+                start, square_foi,
+                config=LloydConfig(connectivity_safe=False, max_iterations=5),
+            )
+        assert not any(name.startswith("lloyd.") for name in metrics.snapshot())
 
 
 class TestDensity:
