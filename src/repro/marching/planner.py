@@ -19,6 +19,12 @@ algorithm:
 
 Method (a) maximises the stable-link count; method (b) minimises the
 total moving distance (Sec. III-D2).  Both guarantee ``C = 1``.
+
+The stages the paper also runs as message-passing protocols -
+triangulation extraction, T's boundary parameterisation, the rotation
+search and isolation detection - are private methods, so
+:class:`~repro.marching.distributed_planner.DistributedMarchingPlanner`
+swaps in the protocols and shares everything else.
 """
 
 from __future__ import annotations
@@ -31,18 +37,16 @@ from repro.coverage.density import DensityFunction
 from repro.coverage.lloyd import LloydConfig, run_lloyd
 from repro.errors import PlanningError
 from repro.foi.region import FieldOfInterest
-from repro.geometry.vec import as_points
 from repro.harmonic.diskmap import compute_disk_map
 from repro.harmonic.rotation import hierarchical_angle_search
 from repro.harmonic.transfer import InducedMap
 from repro.marching.repair import repair_targets
-from repro.marching.result import MarchingResult, RepairInfo
+from repro.marching.result import MarchingResult
 from repro.mesh.delaunay import triangulate_foi
 from repro.network.extract import extract_triangulation
+from repro.network.graphs import bfs_hops
 from repro.network.links import LinkTable, links_alive
-from repro.network.udg import UnitDiskGraph
 from repro.obs import span
-from repro.robots.motion import SwarmTrajectory
 from repro.robots.swarm import Swarm
 from repro.robots.transition import detoured_transition, stepwise_trajectory
 
@@ -164,7 +168,7 @@ class MarchingPlanner:
 
         # Stage 1: triangulation extraction.
         with span("plan.extract_triangulation", robots=len(p)) as sp_:
-            t_mesh, vmap = extract_triangulation(p, comm_range)
+            t_mesh, vmap = self._extract_triangulation(p, comm_range)
             sp_.set_attributes(t_vertices=len(vmap))
         in_t = np.zeros(len(p), dtype=bool)
         in_t[vmap] = True
@@ -172,10 +176,7 @@ class MarchingPlanner:
 
         # Stage 2: modified harmonic map.
         with span("plan.disk_map_t", solver=cfg.solver):
-            dm_t = compute_disk_map(
-                t_mesh, boundary_mode=cfg.boundary_mode, solver=cfg.solver,
-                use_cache=cfg.use_cache,
-            )
+            dm_t = self._disk_map_t(t_mesh)
         with span("plan.triangulate_foi", target_points=cfg.foi_target_points):
             foi_mesh = triangulate_foi(
                 target_foi, target_points=cfg.foi_target_points
@@ -186,41 +187,17 @@ class MarchingPlanner:
                 use_cache=cfg.use_cache,
             )
         induced = InducedMap(dm_m2)
-        disk_pts = dm_t.robot_disk_positions
-
         t_links = self._links_among(links.links, in_t, vmap)
 
-        def mapped_targets(angle: float) -> np.ndarray:
-            return induced.map_points(disk_pts, rotation=angle)
-
-        if cfg.method == "a":
-
-            def objective(angle: float) -> float:
-                q_t = mapped_targets(angle)
-                return float(links_alive(t_links, q_t, comm_range).sum())
-
-            maximize = True
-        else:
-
-            def objective(angle: float) -> float:
-                q_t = mapped_targets(angle)
-                d = q_t - p[vmap]
-                return float(np.hypot(d[:, 0], d[:, 1]).sum())
-
-            maximize = False
-
         with span("plan.rotation_search", method=cfg.method) as sp_:
-            search = hierarchical_angle_search(
-                objective,
-                depth=cfg.search_depth,
-                maximize=maximize,
-                initial_samples=cfg.initial_samples,
+            search, targets_t, artifacts = self._rotation_search(
+                induced, dm_t, t_mesh, p[vmap], t_links, comm_range
             )
             sp_.set_attributes(angle=search.angle, evaluations=search.evaluations)
 
         # Stage 3: targets for every robot (escort stragglers outside T).
         q = np.zeros_like(p)
-        q[vmap] = mapped_targets(search.angle)
+        q[vmap] = targets_t
         for i in np.flatnonzero(~in_t):
             ref = self._nearest_in_t(i, p, in_t)
             q[i] = p[i] + (q[ref] - p[ref])
@@ -232,7 +209,8 @@ class MarchingPlanner:
 
         with span("plan.repair"):
             q, repair_info = repair_targets(
-                p, q, comm_range, anchors, links=links.links
+                p, q, comm_range, anchors, links=links.links,
+                _hops=self._isolation_hops,
             )
 
         # Stage 4: the march (with hole detours in the target FoI).
@@ -263,20 +241,19 @@ class MarchingPlanner:
             trajectory = march_traj.then(adjust_traj)
             sp_.set_attributes(total_distance=trajectory.total_distance())
 
-        artifacts: dict[str, object] = {}
         if cfg.keep_artifacts:
-            artifacts = {
-                "t_mesh": t_mesh,
-                "t_vertex_map": vmap,
-                "disk_map_t": dm_t,
-                "foi_mesh": foi_mesh,
-                "disk_map_m2": dm_m2,
-                "lloyd": lloyd,
-                "search": search,
-            }
+            artifacts.update(
+                t_mesh=t_mesh,
+                t_vertex_map=vmap,
+                disk_map_t=dm_t,
+                foi_mesh=foi_mesh,
+                disk_map_m2=dm_m2,
+                lloyd=lloyd,
+                search=search,
+            )
 
         return MarchingResult(
-            method=f"ours ({cfg.method})",
+            method=f"ours ({cfg.method}{self._method_suffix})",
             start_positions=p.copy(),
             march_targets=q,
             final_positions=lloyd.positions,
@@ -289,6 +266,56 @@ class MarchingPlanner:
             lloyd_iterations=lloyd.iterations,
             artifacts=artifacts,
         )
+
+    # ------------------------------------------------------------------
+    # The stages the distributed planner replaces with protocols.
+
+    _method_suffix = ""
+    #: Sec. III-D1 isolation detector: hop distance to the boundary per
+    #: robot over the surviving links, -1 when unreached.
+    _isolation_hops = staticmethod(bfs_hops)
+
+    @staticmethod
+    def _extract_triangulation(p: np.ndarray, comm_range: float):
+        """Stage 1: the triangulation ``T`` and its robot indices."""
+        return extract_triangulation(p, comm_range)
+
+    def _disk_map_t(self, t_mesh):
+        """Stage 2a: ``T``'s unit-disk embedding."""
+        cfg = self.config
+        return compute_disk_map(
+            t_mesh, boundary_mode=cfg.boundary_mode, solver=cfg.solver,
+            use_cache=cfg.use_cache,
+        )
+
+    def _rotation_search(self, induced, dm_t, t_mesh, starts_t, t_links, comm_range):
+        """Stage 2c: the overlay angle, ``T``'s targets at it, artifacts."""
+        cfg = self.config
+        disk_pts = dm_t.robot_disk_positions
+
+        def mapped_targets(angle: float) -> np.ndarray:
+            return induced.map_points(disk_pts, rotation=angle)
+
+        if cfg.method == "a":
+
+            def objective(angle: float) -> float:
+                q_t = mapped_targets(angle)
+                return float(links_alive(t_links, q_t, comm_range).sum())
+
+        else:
+
+            def objective(angle: float) -> float:
+                q_t = mapped_targets(angle)
+                d = q_t - starts_t
+                return float(np.hypot(d[:, 0], d[:, 1]).sum())
+
+        search = hierarchical_angle_search(
+            objective,
+            depth=cfg.search_depth,
+            maximize=cfg.method == "a",
+            initial_samples=cfg.initial_samples,
+        )
+        return search, mapped_targets(search.angle), {}
 
     # ------------------------------------------------------------------
 

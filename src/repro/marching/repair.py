@@ -48,6 +48,8 @@ def repair_targets(
     comm_range: float,
     boundary_anchors,
     links: np.ndarray | None = None,
+    *,
+    _hops=bfs_hops,
 ) -> tuple[np.ndarray, RepairInfo]:
     """Adjust ``targets`` so no robot loses its path to the boundary.
 
@@ -63,6 +65,11 @@ def repair_targets(
     links : (m, 2) int array, optional
         The M1 communication links; recomputed from ``starts`` when
         omitted.
+    _hops : callable, private
+        The isolation detector ``(adjacency, anchors) -> hops``: hop
+        distance to the nearest anchor over the surviving links, -1
+        when unreached.  Centralized BFS by default; the distributed
+        planner passes the subgroup-detection protocol.
 
     Returns
     -------
@@ -87,6 +94,8 @@ def repair_targets(
         links = UnitDiskGraph(p, comm_range).edges
     links = np.asarray(links, dtype=int).reshape(-1, 2)
 
+    # Physical one-range neighbours in M1 (any link, surviving or not).
+    full_adj = adjacency_from_edges(n, links)
     escorted: dict[int, int] = {}
     isolated_before = -1
     attempted = succeeded = 0
@@ -101,7 +110,7 @@ def repair_targets(
             )
             surviving = links[alive]
             adj = adjacency_from_edges(n, surviving)
-            hops = bfs_hops(adj, anchors)
+            hops = _hops(adj, anchors)
             isolated = np.flatnonzero(hops < 0)
             if round_idx == 1:
                 isolated_before = len(isolated)
@@ -134,10 +143,6 @@ def repair_targets(
             comps = [
                 c for c in connected_components(sub_adj) if set(c) <= iso_set
             ]
-
-            # Physical one-range neighbours in M1 (any link, surviving or
-            # not).
-            full_adj = adjacency_from_edges(n, links)
 
             progressed = False
             for comp in comps:

@@ -40,7 +40,7 @@ from repro.missions.checkpoint import MissionCheckpoint, checkpoint_key
 from repro.missions.diff import plan_diff
 from repro.missions.spec import MissionConfig, MissionSpec
 from repro.missions.targets import mission_targets
-from repro.network.udg import UnitDiskGraph
+from repro.network.udg import UnitDiskGraph, isolated_counts
 from repro.obs import Metrics, activate_metrics, span
 from repro.robots.robot import RadioSpec
 from repro.robots.swarm import Swarm
@@ -451,35 +451,37 @@ def _connectivity_violations(
     living robot has no multi-hop path to the network boundary (the
     plan's anchor set); robots dead at the instant are excluded, and
     when every anchor has died the check degrades to plain
-    connectivity of the survivors.
+    connectivity of the survivors.  Instants are labelled through
+    :func:`~repro.network.udg.isolated_counts`, one call per (side,
+    survivor roster) group.
     """
     ts = np.linspace(traj.t_start, t_cut, max(2, config.resolution))
     disc = traj.discontinuity_times()
     disc = disc[(disc > traj.t_start) & (disc <= t_cut)]
     checks: list[tuple[float, str]] = [(float(t), "right") for t in ts]
     checks += [(float(t), "left") for t in disc]
+    death = np.full(traj.robot_count, np.inf)
+    for j, t_fault in death_time.items():
+        death[j] = t_fault
     anchors = [int(a) for a in boundary_anchors]
 
-    violations = 0
-    n = traj.robot_count
+    groups: dict[tuple[str, tuple[int, ...]], list[float]] = {}
     for t, side in checks:
-        present = [
-            j
-            for j in range(n)
-            if j not in death_time or t < death_time[j]
-        ]
-        if not present:
-            continue
-        pts = traj.positions_over(np.array([t]), side=side)[0][present]
-        graph = UnitDiskGraph(pts, config.comm_range)
-        compact = {j: k for k, j in enumerate(present)}
-        local_anchors = [compact[a] for a in anchors if a in compact]
-        if local_anchors:
-            ok = bool(graph.nodes_connected_to(local_anchors).all())
-        else:
-            ok = graph.is_connected()
-        if not ok:
-            violations += 1
+        present = tuple(np.flatnonzero(t < death).tolist())
+        if present:
+            groups.setdefault((side, present), []).append(t)
+    violations = 0
+    with span("mission.connectivity", samples=len(checks)) as sp:
+        for (side, present), times in groups.items():
+            roster = np.array(present)
+            table = traj.positions_over(np.array(times), side=side)[:, roster]
+            local_anchors = np.flatnonzero(np.isin(roster, anchors))
+            isolated = isolated_counts(
+                table, config.comm_range,
+                local_anchors if len(local_anchors) else None,
+            )
+            violations += int(np.count_nonzero(isolated))
+        sp.set_attributes(violations=violations)
     return violations, len(checks)
 
 

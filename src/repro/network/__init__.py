@@ -6,7 +6,6 @@ from repro.network.extract import (
     extract_triangulation_localized,
 )
 from repro.network.graphs import (
-    UnionFind,
     adjacency_from_edges,
     bfs_hops,
     connected_components,
@@ -16,7 +15,6 @@ from repro.network.udg import UnitDiskGraph, isolated_counts, udg_edges
 
 __all__ = [
     "LinkTable",
-    "UnionFind",
     "UnitDiskGraph",
     "adjacency_from_edges",
     "bfs_hops",

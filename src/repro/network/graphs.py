@@ -1,4 +1,4 @@
-"""Generic graph utilities: union-find, BFS layers, path existence.
+"""Generic graph utilities: adjacency lists, BFS hops, components.
 
 Small, dependency-free building blocks used by connectivity repair,
 triangulation extraction, and the distributed protocols' centralized
@@ -8,54 +8,11 @@ reference implementations.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["UnionFind", "bfs_hops", "connected_components", "adjacency_from_edges"]
-
-
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("UnionFind size must be non-negative")
-        self._parent = list(range(n))
-        self._size = [1] * n
-        self.component_count = n
-
-    def find(self, x: int) -> int:
-        """Representative of ``x``'s component."""
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the components of ``a`` and ``b``; True if they differed."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        self.component_count -= 1
-        return True
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-    def component_sizes(self) -> list[int]:
-        """Sizes of all components, largest first."""
-        roots: dict[int, int] = {}
-        for x in range(len(self._parent)):
-            r = self.find(x)
-            roots[r] = roots.get(r, 0) + 1
-        return sorted(roots.values(), reverse=True)
+__all__ = ["bfs_hops", "connected_components", "adjacency_from_edges"]
 
 
 def adjacency_from_edges(n: int, edges: Iterable[Sequence[int]]) -> list[list[int]]:

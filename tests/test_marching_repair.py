@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlanningError
 from repro.marching import repair_targets
+from repro.marching.distributed_planner import _protocol_hops
 from repro.network import UnitDiskGraph, adjacency_from_edges, bfs_hops
 from repro.network.links import links_alive
 
@@ -172,3 +174,41 @@ class TestNestedSubgroupIsolation:
         for t in np.linspace(0.0, 1.0, 9):
             pos = p + t * (out - p)
             assert UnitDiskGraph(pos, rc).nodes_connected_to([0]).all()
+
+
+class TestProtocolDetector:
+    """The distributed planner runs this same loop with the boundary-flood
+    subgroup protocol as its isolation detector."""
+
+    @given(
+        n=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([10.0, 40.0, 120.0]),
+        anchor_count=st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_protocol_matches_bfs_bitwise(self, n, seed, spread, anchor_count):
+        rng = np.random.default_rng(seed)
+        # Grow a connected swarm: each robot lands within range of one
+        # already placed.
+        p = np.zeros((n, 2))
+        for i in range(1, n):
+            angle, radius = rng.uniform(0.0, 2 * np.pi), rng.uniform(20.0, 80.0)
+            p[i] = p[rng.integers(i)] + radius * np.array([np.cos(angle), np.sin(angle)])
+        assert UnitDiskGraph(p, 80.0).is_connected()
+        q = p + rng.normal(0.0, spread, size=(n, 2))
+        anchors = rng.choice(n, size=min(anchor_count, n), replace=False)
+
+        def outcome(**kw):
+            try:
+                return repair_targets(p, q, 80.0, anchors, **kw)
+            except PlanningError as exc:
+                return str(exc)
+
+        central = outcome()
+        protocol = outcome(_hops=_protocol_hops)
+        if isinstance(central, str):
+            assert protocol == central
+            return
+        assert protocol[0].tobytes() == central[0].tobytes()
+        assert protocol[1] == central[1]

@@ -9,6 +9,7 @@ cold solve), and the campaign driver's worker-count byte-identity.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import MissionError
 from repro.exec.cache import ContentCache, activate_cache
@@ -28,7 +29,10 @@ from repro.missions import (
     MissionSpec,
     mission_targets,
 )
+from repro.missions.runner import _connectivity_violations
+from repro.network import UnitDiskGraph
 from repro.obs import Metrics, activate_metrics
+from repro.robots.motion import SwarmTrajectory, TimedPath
 
 #: CI-sized knobs: one epoch plans in a couple of seconds.
 FAST = MissionConfig(
@@ -263,3 +267,63 @@ class TestCampaign:
 class TestMotionsConstant:
     def test_motions_tuple(self):
         assert MOTIONS == ("drift", "deform", "drift+deform")
+
+
+def _violations_per_instant(traj, anchors, death_time, config, t_cut):
+    """Per-instant oracle: one unit-disk graph per sampled instant."""
+    ts = np.linspace(traj.t_start, t_cut, max(2, config.resolution))
+    disc = traj.discontinuity_times()
+    disc = disc[(disc > traj.t_start) & (disc <= t_cut)]
+    checks = [(float(t), "right") for t in ts] + [(float(t), "left") for t in disc]
+    violations = 0
+    for t, side in checks:
+        present = [
+            j for j in range(traj.robot_count)
+            if j not in death_time or t < death_time[j]
+        ]
+        if not present:
+            continue
+        pts = traj.positions_over(np.array([t]), side=side)[0][present]
+        graph = UnitDiskGraph(pts, config.comm_range)
+        local = [k for k, j in enumerate(present) if j in anchors]
+        ok = (
+            bool(graph.nodes_connected_to(local).all())
+            if local else graph.is_connected()
+        )
+        violations += not ok
+    return violations, len(checks)
+
+
+class TestConnectivityViolations:
+    @given(
+        n=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        resolution=st.integers(2, 9),
+        cut=st.floats(0.05, 1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batched_counts_match_per_instant_oracle(self, n, seed, resolution, cut):
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(0.0, 160.0, size=(n, 2))
+        before = start + rng.normal(0.0, 60.0, size=(n, 2))
+        after = before + rng.normal(0.0, 60.0, size=(n, 2))
+        end = after + rng.normal(0.0, 30.0, size=(n, 2))
+        # Each robot jumps once, so the left limits differ from the
+        # right values at up to three instants.
+        jumps = rng.choice([0.3, 0.5, 0.7], size=n)
+        traj = SwarmTrajectory(
+            [
+                TimedPath([start[i], before[i], after[i], end[i]], [0.0, t, t, 1.0])
+                for i, t in enumerate(jumps)
+            ],
+            0.0,
+            1.0,
+        )
+        dead = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        death_time = {int(j): float(rng.choice([0.0, rng.uniform(), 0.5])) for j in dead}
+        anchors = [int(a) for a in rng.choice(n, size=int(rng.integers(1, n + 1)))]
+        config = MissionConfig(comm_range=80.0, resolution=resolution)
+        got = _connectivity_violations(traj, anchors, death_time, config, cut)
+        assert got == _violations_per_instant(
+            traj, set(anchors), death_time, config, cut
+        )

@@ -1,12 +1,10 @@
-"""Tests for union-find and BFS utilities (with networkx as oracle)."""
+"""Tests for adjacency and BFS utilities (with networkx as oracle)."""
 
 import networkx as nx
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network import (
-    UnionFind,
     adjacency_from_edges,
     bfs_hops,
     connected_components,
@@ -15,59 +13,6 @@ from repro.network import (
 edge_list = st.lists(
     st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=40
 )
-
-
-class TestUnionFind:
-    def test_initial_singletons(self):
-        uf = UnionFind(5)
-        assert uf.component_count == 5
-        assert not uf.connected(0, 1)
-
-    def test_union_connects(self):
-        uf = UnionFind(5)
-        assert uf.union(0, 1)
-        assert uf.connected(0, 1)
-        assert uf.component_count == 4
-
-    def test_union_idempotent(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        assert not uf.union(1, 0)
-        assert uf.component_count == 4
-
-    def test_transitivity(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.connected(0, 2)
-
-    def test_component_sizes(self):
-        uf = UnionFind(6)
-        uf.union(0, 1)
-        uf.union(2, 3)
-        uf.union(3, 4)
-        assert uf.component_sizes() == [3, 2, 1]
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            UnionFind(-1)
-
-    @given(edge_list)
-    @settings(max_examples=100)
-    def test_matches_networkx_components(self, edges):
-        n = 15
-        uf = UnionFind(n)
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        for u, v in edges:
-            if u != v:
-                uf.union(u, v)
-                g.add_edge(u, v)
-        assert uf.component_count == nx.number_connected_components(g)
-        for u, v in [(0, 1), (3, 9), (14, 2)]:
-            assert uf.connected(u, v) == (
-                nx.has_path(g, u, v)
-            )
 
 
 class TestAdjacencyAndBfs:
